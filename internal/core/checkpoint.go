@@ -45,8 +45,11 @@ type DeviceEntry struct {
 // state; this layer owns the kernel clock, RNG streams, devices and the
 // quiet-watcher subscription order.
 type Checkpoint struct {
-	At      sim.Time
-	Seed    uint64
+	At   sim.Time
+	Seed uint64
+	// Shards is always 1. It is a wire-form field kept from when the
+	// kernel could be sharded: dropping it would change the encoded
+	// bytes. Restore refuses any other value.
 	Shards  int
 	RootRNG uint64
 	ChanRNG uint64
@@ -137,7 +140,7 @@ func (s *Simulation) SnapshotCfg(cfg SnapshotConfig) (*Checkpoint, error) {
 	ck := &Checkpoint{
 		At:      s.K.Now(),
 		Seed:    s.seed,
-		Shards:  s.K.Shards(),
+		Shards:  1,
 		RootRNG: s.rng.State(),
 		ChanRNG: s.Ch.RNGState(),
 	}
@@ -167,8 +170,8 @@ func (s *Simulation) Restore(ck *Checkpoint, opt RestoreOptions) (map[string][]*
 	if s.trace != nil {
 		return nil, fmt.Errorf("core: cannot restore into a VCD-traced world")
 	}
-	if got := s.K.Shards(); got != ck.Shards {
-		return nil, fmt.Errorf("core: checkpoint was taken with %d shards, world has %d", ck.Shards, got)
+	if ck.Shards != 1 {
+		return nil, fmt.Errorf("core: checkpoint was taken on a %d-shard kernel, the kernel is serial", ck.Shards)
 	}
 	if opt.Tracer != nil {
 		s.K.AddTracer(opt.Tracer)
@@ -193,9 +196,7 @@ func (s *Simulation) Restore(ck *Checkpoint, opt RestoreOptions) (map[string][]*
 	}
 	s.rng.SetState(sim.ForkState(ck.RootRNG, opt.ForkSeed))
 	s.Ch.SetRNGState(sim.ForkState(ck.ChanRNG, opt.ForkSeed))
-	// Re-subscribe quiet watchers in the captured order — the horizon
-	// watcher of a sharded world was re-added by NewSimulation and
-	// always precedes every device subscription.
+	// Re-subscribe quiet watchers in the captured order.
 	for _, name := range ck.QuietWatch {
 		d := s.devices[name]
 		if d == nil {

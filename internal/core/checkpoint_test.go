@@ -32,8 +32,8 @@ func fingerprint(s *Simulation) string {
 // buildWorld assembles a noisy two-slave piconet with a deep backlog of
 // unprotected DH1 traffic, so bit errors (and the retransmissions they
 // cause) keep consuming the channel RNG across the snapshot point.
-func buildWorld(shards int) *Simulation {
-	s := NewSimulation(Options{Seed: 7, BER: 1.0 / 600, Shards: shards})
+func buildWorld() *Simulation {
+	s := NewSimulation(Options{Seed: 7, BER: 1.0 / 600})
 	m := s.AddDevice("m", baseband.Config{Addr: baseband.BDAddr{LAP: 0x10, UAP: 1}})
 	s1 := s.AddDevice("s1", baseband.Config{Addr: baseband.BDAddr{LAP: 0x21, UAP: 2}})
 	s2 := s.AddDevice("s2", baseband.Config{Addr: baseband.BDAddr{LAP: 0x22, UAP: 3}})
@@ -45,67 +45,67 @@ func buildWorld(shards int) *Simulation {
 }
 
 func TestCheckpointForkEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			const settle, rest = 200, 300
+	// One kernel runs the whole world; the case keeps its original
+	// subtest name so its history stays comparable.
+	t.Run("shards=1", func(t *testing.T) {
+		const settle, rest = 200, 300
 
-			straight := buildWorld(shards)
-			straight.RunSlots(settle)
-			ckAt := straight.K.Now()
+		straight := buildWorld()
+		straight.RunSlots(settle)
+		ckAt := straight.K.Now()
 
-			forked := buildWorld(shards)
-			forked.RunSlots(settle)
-			ck, err := forked.Snapshot()
-			if err != nil {
-				t.Fatalf("Snapshot: %v", err)
-			}
-			if ck.At != ckAt {
-				// The probe may have stepped forward; keep arms aligned.
-				straight.K.RunUntil(ck.At)
-			}
+		forked := buildWorld()
+		forked.RunSlots(settle)
+		ck, err := forked.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		if ck.At != ckAt {
+			// The probe may have stepped forward; keep arms aligned.
+			straight.K.RunUntil(ck.At)
+		}
 
-			restored := NewSimulation(Options{Seed: 7, BER: 1.0 / 600, Shards: shards})
-			if _, err := restored.Restore(ck, RestoreOptions{}); err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			if got, want := restored.K.Now(), ck.At; got != want {
-				t.Fatalf("restored clock at %v, want %v", got, want)
-			}
+		restored := NewSimulation(Options{Seed: 7, BER: 1.0 / 600})
+		if _, err := restored.Restore(ck, RestoreOptions{}); err != nil {
+			t.Fatalf("Restore: %v", err)
+		}
+		if got, want := restored.K.Now(), ck.At; got != want {
+			t.Fatalf("restored clock at %v, want %v", got, want)
+		}
 
-			// The measurement protocol: both arms restart their meter
-			// windows at the fork point, so activity fractions measure
-			// only post-fork behaviour.
-			resetAll(straight)
-			resetAll(restored)
-			straight.RunSlots(rest)
-			restored.RunSlots(rest)
-			if a, b := fingerprint(straight), fingerprint(restored); a != b {
-				t.Errorf("straight and restored runs diverge:\n--- straight\n%s--- restored\n%s", a, b)
-			}
+		// The measurement protocol: both arms restart their meter
+		// windows at the fork point, so activity fractions measure
+		// only post-fork behaviour.
+		resetAll(straight)
+		resetAll(restored)
+		straight.RunSlots(rest)
+		restored.RunSlots(rest)
+		if a, b := fingerprint(straight), fingerprint(restored); a != b {
+			t.Errorf("straight and restored runs diverge:\n--- straight\n%s--- restored\n%s", a, b)
+		}
 
-			// A second fork from the same bytes stays byte-equal...
-			again := NewSimulation(Options{Seed: 7, BER: 1.0 / 600, Shards: shards})
-			if _, err := again.Restore(ck, RestoreOptions{}); err != nil {
-				t.Fatalf("Restore twice: %v", err)
-			}
-			resetAll(again)
-			again.RunSlots(rest)
-			if a, b := fingerprint(restored), fingerprint(again); a != b {
-				t.Errorf("two identical forks diverge:\n--- first\n%s--- second\n%s", a, b)
-			}
+		// A second fork from the same bytes stays byte-equal...
+		again := NewSimulation(Options{Seed: 7, BER: 1.0 / 600})
+		if _, err := again.Restore(ck, RestoreOptions{}); err != nil {
+			t.Fatalf("Restore twice: %v", err)
+		}
+		resetAll(again)
+		again.RunSlots(rest)
+		if a, b := fingerprint(restored), fingerprint(again); a != b {
+			t.Errorf("two identical forks diverge:\n--- first\n%s--- second\n%s", a, b)
+		}
 
-			// ...while a different fork seed diverges under nonzero BER.
-			other := NewSimulation(Options{Seed: 7, BER: 1.0 / 600, Shards: shards})
-			if _, err := other.Restore(ck, RestoreOptions{ForkSeed: 99}); err != nil {
-				t.Fatalf("Restore forked: %v", err)
-			}
-			resetAll(other)
-			other.RunSlots(rest)
-			if a, b := fingerprint(restored), fingerprint(other); a == b {
-				t.Errorf("fork seed 99 did not diverge from seed 0")
-			}
-		})
-	}
+		// ...while a different fork seed diverges under nonzero BER.
+		other := NewSimulation(Options{Seed: 7, BER: 1.0 / 600})
+		if _, err := other.Restore(ck, RestoreOptions{ForkSeed: 99}); err != nil {
+			t.Fatalf("Restore forked: %v", err)
+		}
+		resetAll(other)
+		other.RunSlots(rest)
+		if a, b := fingerprint(restored), fingerprint(other); a == b {
+			t.Errorf("fork seed 99 did not diverge from seed 0")
+		}
+	})
 }
 
 func resetAll(s *Simulation) {

@@ -3,6 +3,7 @@ package netspec
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"repro/internal/baseband"
@@ -274,11 +275,11 @@ func (w *World) Snapshot() (*WorldCheckpoint, error) {
 
 	for _, pu := range w.pumps {
 		arm := pu.arm
-		at, seq, shard, ok := w.Sim.K.EventInfo(pu.id)
+		at, seq, ok := w.Sim.K.EventInfo(pu.id)
 		if !ok {
 			return nil, fmt.Errorf("netspec: pump kind %d has no pending event at the capture instant", arm.Kind)
 		}
-		arm.At, arm.Seq, arm.Shard = at, seq, shard
+		arm.At, arm.Seq = at, seq
 		if pu.rng != nil {
 			arm.RNG = pu.rng.State()
 		}
@@ -552,11 +553,20 @@ func (w *World) restorePump(arm PumpArm, forkSeed uint64) (*pump, error) {
 	return pu, nil
 }
 
+// ErrShardedCheckpoint reports a checkpoint whose shard fields are not
+// those of the serial kernel: Core.Shards other than 1, or a pump or
+// device timer arm with a nonzero Shard. Such bytes come from a kernel
+// that split its event queue across shards, which no longer exists.
+var ErrShardedCheckpoint = errors.New("netspec: checkpoint from a sharded kernel")
+
 // validate bounds-checks a checkpoint's cross-references, so a decoded
 // capture either restores or fails cleanly.
 func (ck *WorldCheckpoint) validate() error {
 	if ck.Core == nil {
 		return fmt.Errorf("netspec: checkpoint has no core capture")
+	}
+	if err := ck.validateShards(); err != nil {
+		return err
 	}
 	np, nb, nf := len(ck.Spec.Piconets), len(ck.Spec.Bridges), len(ck.Flows)
 	if len(ck.Piconets) != np {
@@ -616,6 +626,31 @@ func (ck *WorldCheckpoint) validate() error {
 			}
 		default:
 			return fmt.Errorf("netspec: pump %d has unknown kind %d", i, arm.Kind)
+		}
+	}
+	return nil
+}
+
+// validateShards refuses checkpoints carrying shard fields the serial
+// kernel never writes (see ErrShardedCheckpoint), and device entries
+// without a state capture.
+func (ck *WorldCheckpoint) validateShards() error {
+	if ck.Core.Shards != 1 {
+		return fmt.Errorf("%w: %d shards", ErrShardedCheckpoint, ck.Core.Shards)
+	}
+	for i := range ck.Pumps {
+		if sh := ck.Pumps[i].Shard; sh != 0 {
+			return fmt.Errorf("%w: pump %d on shard %d", ErrShardedCheckpoint, i, sh)
+		}
+	}
+	for _, e := range ck.Core.Devices {
+		if e.State == nil {
+			return fmt.Errorf("netspec: device %q has no state capture", e.Name)
+		}
+		for _, arm := range e.State.Timers {
+			if arm.Shard != 0 {
+				return fmt.Errorf("%w: %s timer %d on shard %d", ErrShardedCheckpoint, e.Name, arm.Timer, arm.Shard)
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package netspec
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -178,6 +179,79 @@ func TestSnapshotRefusesHCIWorld(t *testing.T) {
 	}
 }
 
+// shardedMutations rewrite a checkpoint the way a kernel that split its
+// event queue across shards would have written it: shard fields the
+// serial kernel never sets.
+var shardedMutations = []struct {
+	name   string
+	mutate func(*WorldCheckpoint)
+}{
+	{"core shards", func(ck *WorldCheckpoint) { ck.Core.Shards = 4 }},
+	{"pump shard", func(ck *WorldCheckpoint) { ck.Pumps[0].Shard = 7 }},
+	{"timer shard", func(ck *WorldCheckpoint) {
+		for _, e := range ck.Core.Devices {
+			if len(e.State.Timers) > 0 {
+				e.State.Timers[0].Shard = 3
+				return
+			}
+		}
+		panic("no device has an armed timer")
+	}},
+}
+
+// mutateEncoded decodes enc, applies mutate and re-encodes the result.
+func mutateEncoded(t testing.TB, enc []byte, mutate func(*WorldCheckpoint)) []byte {
+	t.Helper()
+	ck, err := DecodeCheckpoint(enc)
+	if err != nil {
+		t.Fatalf("DecodeCheckpoint: %v", err)
+	}
+	mutate(ck)
+	b, err := ck.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	return b
+}
+
+// TestDecodeRefusesShardedCheckpoint: checkpoint bytes carrying a
+// nonzero arm shard or a shard count other than 1 are refused with
+// ErrShardedCheckpoint by DecodeCheckpoint, and by RestoreWorld before
+// any event is armed — never a panic.
+func TestDecodeRefusesShardedCheckpoint(t *testing.T) {
+	w := buildCkWorld(t, ckSpecs()["dense"])
+	w.Sim.RunSlots(400)
+	ck, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	enc, err := ck.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	for _, m := range shardedMutations {
+		t.Run(m.name, func(t *testing.T) {
+			if _, err := DecodeCheckpoint(mutateEncoded(t, enc, m.mutate)); !errors.Is(err, ErrShardedCheckpoint) {
+				t.Fatalf("DecodeCheckpoint error = %v, want ErrShardedCheckpoint", err)
+			}
+			// The same mutation applied after decoding must not reach
+			// the kernel either.
+			dck, err := DecodeCheckpoint(enc)
+			if err != nil {
+				t.Fatalf("DecodeCheckpoint: %v", err)
+			}
+			m.mutate(dck)
+			s := core.NewSimulation(ckOptions(11))
+			if _, err := RestoreWorld(s, dck, core.RestoreOptions{}); !errors.Is(err, ErrShardedCheckpoint) {
+				t.Fatalf("RestoreWorld error = %v, want ErrShardedCheckpoint", err)
+			}
+			if n := s.K.Pending(); n != 0 {
+				t.Fatalf("refused restore left %d events armed", n)
+			}
+		})
+	}
+}
+
 // FuzzCheckpointRoundTrip pins the decode contract: arbitrary bytes
 // either fail with an error or produce a validated checkpoint — never
 // a panic.
@@ -192,13 +266,20 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	}
 	w.Start()
 	s.RunSlots(64)
-	if ck, err := w.Snapshot(); err == nil {
-		if b, err := ck.Encode(); err == nil {
-			f.Add(b)
-		}
+	ck, err := w.Snapshot()
+	if err != nil {
+		f.Fatalf("Snapshot: %v", err)
 	}
+	enc, err := ck.Encode()
+	if err != nil {
+		f.Fatalf("Encode: %v", err)
+	}
+	f.Add(enc)
 	f.Add([]byte{})
 	f.Add([]byte("not a checkpoint"))
+	for _, m := range shardedMutations {
+		f.Add(mutateEncoded(f, enc, m.mutate))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := DecodeCheckpoint(data)
 		if err == nil && ck == nil {

@@ -137,6 +137,22 @@ func TestValidationNamesOffendingStanza(t *testing.T) {
 			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
 			Bridges:  []Bridge{NewBridge(0, 1, WithPresence(1.4))},
 		}, "bridge", 0, "duty"},
+		{"presence period not a multiple of 4", Spec{
+			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
+			Bridges:  []Bridge{NewBridge(0, 1, WithPresencePeriod(130))},
+		}, "bridge", 0, "multiple of 4"},
+		{"presence period too short", Spec{
+			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
+			Bridges:  []Bridge{NewBridge(0, 1, WithPresencePeriod(32))},
+		}, "bridge", 0, ">= 64"},
+		{"presence window eaten by guard", Spec{
+			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
+			Bridges:  []Bridge{NewBridge(0, 1, WithPresence(0.03))},
+		}, "bridge", 0, "no presence window"},
+		{"middle master over capacity", Spec{
+			Piconets: HomogeneousPiconets(3, 6),
+			Bridges:  ChainBridges(3),
+		}, "piconet", 1, "7 active members"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -35,12 +35,10 @@ type Config struct {
 	// scheduled job covers. Larger batches amortise scheduling overhead
 	// for very short trials; 0 uses the package default (1).
 	Jobs int
-	// Progress, when non-nil, overrides the package-level progress hook
-	// for this run. It is called with the completed and total trial
-	// counts after every batch, from whichever worker finished it.
-	// Prefer this over SetProgress wherever runs can overlap — the
-	// service layer streams one channel per job, and a global hook
-	// would interleave them.
+	// Progress, when non-nil, is called with the completed and total
+	// trial counts after every batch, from whichever worker finished it.
+	// It is per run, so overlapping runs (the service layer streams one
+	// channel per job) never interleave their reports.
 	Progress func(name string, done, total int)
 	// Context, when non-nil, cancels the replica loop: once it is done,
 	// no further trial starts (in-flight trials finish their current
@@ -54,9 +52,6 @@ type Config struct {
 var (
 	defaultWorkers atomic.Int64 // 0 => GOMAXPROCS
 	defaultJobs    atomic.Int64 // 0 => 1
-
-	progressMu   sync.Mutex
-	progressHook func(name string, done, total int)
 )
 
 // SetDefaultWorkers sets the pool size used by sweeps whose Config
@@ -76,21 +71,6 @@ func DefaultWorkers() int {
 // SetDefaultJobs sets the batch size used by sweeps whose Config leaves
 // Jobs at 0 (values < 1 restore the default of one replica per job).
 func SetDefaultJobs(n int) { defaultJobs.Store(int64(n)) }
-
-// SetProgress installs a package-level progress hook streamed by every
-// sweep that does not carry its own (nil disables). cmd/btexp uses this
-// to render live per-sweep progress on stderr.
-func SetProgress(fn func(name string, done, total int)) {
-	progressMu.Lock()
-	progressHook = fn
-	progressMu.Unlock()
-}
-
-func defaultProgress() func(name string, done, total int) {
-	progressMu.Lock()
-	defer progressMu.Unlock()
-	return progressHook
-}
 
 // Sweep describes one embarrassingly parallel experiment: Replicas
 // independent trials at each point of Points.
@@ -138,9 +118,6 @@ func (s Sweep[P, R]) Run(cfg Config) [][]R {
 	}
 
 	progress := cfg.Progress
-	if progress == nil {
-		progress = defaultProgress()
-	}
 	var done atomic.Int64
 	report := func(n int) {
 		if progress == nil {

@@ -40,43 +40,43 @@ func TestForkState(t *testing.T) {
 }
 
 func TestEventInfo(t *testing.T) {
-	k := NewKernelShards(2)
-	id := k.ScheduleOn(1, Slots(3), func() {})
-	at, seq, shard, ok := k.EventInfo(id)
-	if !ok || at != Time(Slots(3)) || shard != 1 || seq == 0 {
-		t.Fatalf("EventInfo = (%v, %d, %d, %v)", at, seq, shard, ok)
+	k := NewKernel()
+	id := k.Schedule(Slots(3), func() {})
+	at, seq, ok := k.EventInfo(id)
+	if !ok || at != Time(Slots(3)) || seq == 0 {
+		t.Fatalf("EventInfo = (%v, %d, %v)", at, seq, ok)
 	}
 	k.Cancel(id)
-	if _, _, _, ok := k.EventInfo(id); ok {
+	if _, _, ok := k.EventInfo(id); ok {
 		t.Fatal("EventInfo must reject a cancelled ID")
 	}
 	id2 := k.Schedule(0, func() {})
 	k.RunUntil(Time(Slots(1)))
-	if _, _, _, ok := k.EventInfo(id2); ok {
+	if _, _, ok := k.EventInfo(id2); ok {
 		t.Fatal("EventInfo must reject a fired ID")
 	}
-	if _, _, _, ok := k.EventInfo(0); ok {
+	if _, _, ok := k.EventInfo(0); ok {
 		t.Fatal("EventInfo must reject the zero ID")
 	}
 }
 
-func TestTimerPendingAndAtOnFn(t *testing.T) {
-	k := NewKernelShards(4)
+func TestTimerPendingAndAtFn(t *testing.T) {
+	k := NewKernel()
 	tm := k.NewTimer(nil)
-	if _, _, _, ok := tm.Pending(); ok {
+	if _, _, ok := tm.Pending(); ok {
 		t.Fatal("idle timer must not report pending")
 	}
 	fired := false
-	tm.AtOnFn(3, Time(Slots(5)), func() { fired = true })
-	at, _, shard, ok := tm.Pending()
-	if !ok || at != Time(Slots(5)) || shard != 3 {
-		t.Fatalf("Pending = (%v, shard %d, %v)", at, shard, ok)
+	tm.AtFn(Time(Slots(5)), func() { fired = true })
+	at, _, ok := tm.Pending()
+	if !ok || at != Time(Slots(5)) {
+		t.Fatalf("Pending = (%v, %v)", at, ok)
 	}
 	k.RunUntil(Time(Slots(6)))
 	if !fired {
-		t.Fatal("AtOnFn arm did not fire")
+		t.Fatal("AtFn arm did not fire")
 	}
-	if _, _, _, ok := tm.Pending(); ok {
+	if _, _, ok := tm.Pending(); ok {
 		t.Fatal("fired timer must not report pending")
 	}
 }
@@ -87,23 +87,22 @@ func TestTimerPendingAndAtOnFn(t *testing.T) {
 // original global order, interleaved correctly with events scheduled
 // after the restore.
 func TestRearmSetPreservesOrder(t *testing.T) {
-	k1 := NewKernelShards(2)
+	k1 := NewKernel()
 	type cap struct {
 		at    Time
 		seq   uint64
-		shard int
 		label int
 	}
 	var caps []cap
-	// Schedule 8 events, several sharing timestamps, across both shards.
+	// Schedule 8 events, several sharing timestamps.
 	delays := []Duration{Slots(2), Slots(1), Slots(2), Slots(1), Slots(3), Slots(2), Slots(1), Slots(3)}
 	for i, d := range delays {
-		id := k1.ScheduleOn(i%2, d, func() {})
-		at, seq, shard, ok := k1.EventInfo(id)
+		id := k1.Schedule(d, func() {})
+		at, seq, ok := k1.EventInfo(id)
 		if !ok {
 			t.Fatalf("event %d not pending", i)
 		}
-		caps = append(caps, cap{at, seq, shard, i})
+		caps = append(caps, cap{at, seq, i})
 	}
 
 	// The reference order: ascending (at, seq) = ascending (at, schedule
@@ -117,16 +116,15 @@ func TestRearmSetPreservesOrder(t *testing.T) {
 		}
 	}
 
-	k2 := NewKernelShards(2)
+	k2 := NewKernel()
 	var got []int
 	var set RearmSet
 	// Add in a scrambled order; Execute must sort it out.
 	for _, idx := range []int{5, 0, 7, 2, 4, 1, 6, 3} {
 		c := caps[idx]
-		label := c.label
-		shard, at := c.shard, c.at
+		label, at := c.label, c.at
 		set.Add(c.at, c.seq, func() {
-			k2.AtOn(shard, at, func() { got = append(got, label) })
+			k2.At(at, func() { got = append(got, label) })
 		})
 	}
 	set.Execute()
@@ -136,7 +134,7 @@ func TestRearmSetPreservesOrder(t *testing.T) {
 	// A post-restore event at an already-captured instant must fire
 	// after every re-armed event at that instant (it was scheduled
 	// later in both runs).
-	k2.AtOn(0, Time(Slots(2)), func() { got = append(got, 99) })
+	k2.At(Time(Slots(2)), func() { got = append(got, 99) })
 	// want = [Slots(1) x3, Slots(2) x3, Slots(3) x2]; 99 lands after
 	// the re-armed Slots(2) trio.
 	wantFull := append(append([]int{}, want[:6]...), 99)
