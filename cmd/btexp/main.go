@@ -42,12 +42,9 @@ func main() {
 	out := flag.String("out", "", "output file for waveform figures (5, 9); default fig<N>.vcd")
 	seed := flag.Uint64("seed", 1, "base random seed")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, -1 = serial)")
-	jobs := flag.Int("jobs", 1, "replicas batched per scheduled job")
 	progress := flag.Bool("progress", true, "stream sweep progress to stderr")
 	flag.Parse()
 
-	runner.SetDefaultWorkers(*workers)
-	runner.SetDefaultJobs(*jobs)
 	// Stream progress only on a terminal unless -progress was given
 	// explicitly, so piped stderr stays free of carriage returns.
 	explicitProgress := false
@@ -56,7 +53,7 @@ func main() {
 			explicitProgress = true
 		}
 	})
-	var runCfg runner.Config
+	runCfg := runner.Config{Workers: *workers}
 	if *progress && (explicitProgress || stderrIsTerminal()) {
 		var mu sync.Mutex
 		last := make(map[string]int)

@@ -50,7 +50,15 @@ func main() {
 		Workers:             *workers,
 		SnapshotSlots:       *snapshot,
 	})
-	srv := &http.Server{Addr: *addr, Handler: engine.Handler()}
+	// Bound how long a client may dawdle over headers or hold an idle
+	// keep-alive connection. There is no WriteTimeout: SSE streams stay
+	// open for a whole campaign.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           engine.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

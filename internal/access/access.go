@@ -7,11 +7,7 @@
 // the correlator's error threshold of the expected one.
 package access
 
-import (
-	"sync"
-
-	"repro/internal/bits"
-)
+import "repro/internal/bits"
 
 // GIAC is the general inquiry access code LAP shared by all devices.
 const GIAC uint32 = 0x9E8B33
@@ -55,39 +51,6 @@ func bchParity(info uint64) uint64 {
 	return reg & ((1 << 34) - 1)
 }
 
-// codeCache holds the fully derived access code of one LAP: the sync
-// word plus the expanded 72-bit air pattern (preamble, sync, trailer)
-// in the one-byte-per-bit layout of bits.Vec, ready to copy.
-type codeCache struct {
-	sync uint64
-	air  [72]uint8
-}
-
-// syncCache memoises the access-code derivation per LAP: it is pure, a
-// simulation uses a handful of LAPs, and the result is needed on every
-// single transmit and correlate. Concurrent worlds (runner workers)
-// share the cache, hence sync.Map. Entries are immutable once stored —
-// callers only read the sync word and copy the air pattern out.
-var syncCache sync.Map // uint32 LAP → *codeCache
-
-func codeFor(lap uint32) *codeCache {
-	lap &= 0xFFFFFF
-	if c, ok := syncCache.Load(lap); ok {
-		return c.(*codeCache)
-	}
-	c := &codeCache{sync: SyncWord(lap)}
-	pre, tr := preambleFor(c.sync), trailerFor(c.sync)
-	for i := 0; i < 4; i++ {
-		c.air[i] = uint8(pre>>i) & 1
-		c.air[68+i] = uint8(tr>>i) & 1
-	}
-	for i := 0; i < 64; i++ {
-		c.air[4+i] = uint8(c.sync>>i) & 1
-	}
-	syncCache.Store(lap, c)
-	return c
-}
-
 // preambleFor returns the 4-bit preamble: 0101 or 1010 chosen so it
 // alternates into the sync word's first bit.
 func preambleFor(sync uint64) uint64 {
@@ -119,14 +82,28 @@ func Code(lap uint32, withTrailer bool) *bits.Vec {
 }
 
 // AppendCode appends the access code bits directly to v, sparing the
-// assembly path a temporary vector: one copy out of the per-LAP cache.
+// assembly path a temporary vector: preamble, sync word and trailer are
+// written straight into the grown tail.
 func AppendCode(v *bits.Vec, lap uint32, withTrailer bool) {
-	c := codeFor(lap)
+	sync := SyncWord(lap)
 	n := 68
 	if withTrailer {
 		n = 72
 	}
-	copy(v.Grow(n), c.air[:n])
+	air := v.Grow(n)
+	pre := preambleFor(sync)
+	for i := 0; i < 4; i++ {
+		air[i] = uint8(pre>>i) & 1
+	}
+	for i := 0; i < 64; i++ {
+		air[4+i] = uint8(sync>>i) & 1
+	}
+	if withTrailer {
+		tr := trailerFor(sync)
+		for i := 0; i < 4; i++ {
+			air[68+i] = uint8(tr>>i) & 1
+		}
+	}
 }
 
 // DefaultCorrelatorThreshold is the maximum number of sync-word bit
@@ -142,7 +119,7 @@ func Correlate(rx *bits.Vec, lap uint32, threshold int) (errors int, ok bool) {
 	if rx.Len() < 68 {
 		return 0, false
 	}
-	want := codeFor(lap).sync
+	want := SyncWord(lap)
 	got := rx.Uint(4, 64)
 	diff := want ^ got
 	n := 0

@@ -17,7 +17,7 @@ type AblationRow struct {
 // inquiryAblation runs the shared shape of the design sweeps: an
 // inquiry attempt per (param, seed) with one config knob set per point,
 // fanned out by the runner and folded per point in replica order.
-func inquiryAblation(name string, params []int, ber float64, seeds int, cfg []runner.Config, seedOf func(replica int) uint64, set func(*baseband.Config, int)) []AblationRow {
+func inquiryAblation(name string, params []int, ber float64, seeds int, cfg runner.Config, seedOf func(replica int) uint64, set func(*baseband.Config, int)) []AblationRow {
 	sw := runner.Sweep[int, phaseStats]{
 		Name:     name,
 		Points:   params,
@@ -28,7 +28,7 @@ func inquiryAblation(name string, params []int, ber float64, seeds int, cfg []ru
 			return trial(seed, BERPoint{Value: ber})
 		},
 	}
-	return runner.ReducePoints(params, sw.Run(oneCfg(cfg)), func(param int, reps []phaseStats) AblationRow {
+	return runner.ReducePoints(params, sw.Run(cfg), func(param int, reps []phaseStats) AblationRow {
 		var acc phaseStats
 		for i := range reps {
 			acc.merge(&reps[i])
@@ -41,7 +41,7 @@ func inquiryAblation(name string, params []int, ber float64, seeds int, cfg []ru
 // short span speeds discovery (the backoff dominates the inquiry mean)
 // but in dense deployments would collide responses; the spec value is
 // 1023.
-func AblationBackoff(spans []int, ber float64, seeds int, cfg ...runner.Config) []AblationRow {
+func AblationBackoff(spans []int, ber float64, seeds int, cfg runner.Config) []AblationRow {
 	return inquiryAblation("ablation-backoff", spans, ber, seeds, cfg,
 		func(replica int) uint64 { return uint64(replica)*31337 + 11 },
 		func(c *baseband.Config, span int) { c.BackoffMaxSlots = span })
@@ -51,7 +51,7 @@ func AblationBackoff(spans []int, ber float64, seeds int, cfg ...runner.Config) 
 // repetitions push the A→B train swap past the paper's 1.28 s timeout,
 // so scanners parked on a B-train phase are never found — the reason the
 // reproduction (and presumably the paper) uses a smaller value.
-func AblationNInquiry(ns []int, ber float64, seeds int, cfg ...runner.Config) []AblationRow {
+func AblationNInquiry(ns []int, ber float64, seeds int, cfg runner.Config) []AblationRow {
 	return inquiryAblation("ablation-ninquiry", ns, ber, seeds, cfg,
 		func(replica int) uint64 { return uint64(replica)*7451 + 5 },
 		func(c *baseband.Config, n int) { c.NInquiry = n })
@@ -60,7 +60,7 @@ func AblationNInquiry(ns []int, ber float64, seeds int, cfg ...runner.Config) []
 // AblationCorrelator sweeps the sync-word error threshold: too strict
 // and noise drops IDs (discovery slows), too loose and false sync would
 // rise in a real radio (the model only shows the robustness side).
-func AblationCorrelator(thresholds []int, ber float64, seeds int, cfg ...runner.Config) []AblationRow {
+func AblationCorrelator(thresholds []int, ber float64, seeds int, cfg runner.Config) []AblationRow {
 	return inquiryAblation("ablation-correlator", thresholds, ber, seeds, cfg,
 		func(replica int) uint64 { return uint64(replica)*94261 + 17 },
 		func(c *baseband.Config, th int) { c.CorrelatorThreshold = th })
@@ -88,7 +88,7 @@ type ThroughputRow struct {
 // type under noise: the DM types sacrifice capacity for FEC robustness,
 // the DH types win on clean channels and collapse under noise — the
 // packet-choice trade-off the paper's introduction motivates.
-func PacketTypeThroughput(types []packet.Type, bers []BERPoint, measureSlots uint64, seed uint64, cfg ...runner.Config) []ThroughputRow {
+func PacketTypeThroughput(types []packet.Type, bers []BERPoint, measureSlots uint64, seed uint64, cfg runner.Config) []ThroughputRow {
 	points := runner.Cross(types, bers)
 	sw := runner.Sweep[runner.Pair[packet.Type, BERPoint], ThroughputRow]{
 		Name:   "throughput",
@@ -124,7 +124,7 @@ func PacketTypeThroughput(types []packet.Type, bers []BERPoint, measureSlots uin
 			}
 		},
 	}
-	return runner.Flatten(sw.Run(oneCfg(cfg)))
+	return runner.Flatten(sw.Run(cfg))
 }
 
 // ThroughputTable renders the packet-type ablation.

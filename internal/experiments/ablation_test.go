@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/runner"
 )
 
 func TestAblationBackoffMonotone(t *testing.T) {
-	rows := AblationBackoff([]int{127, 1023}, 0.01, 8)
+	rows := AblationBackoff([]int{127, 1023}, 0.01, 8, runner.Config{})
 	if len(rows) != 2 {
 		t.Fatal("row count")
 	}
@@ -24,7 +25,7 @@ func TestAblationBackoffMonotone(t *testing.T) {
 }
 
 func TestAblationNInquirySpecValueTimesOut(t *testing.T) {
-	rows := AblationNInquiry([]int{64, 256}, 0.01, 8)
+	rows := AblationNInquiry([]int{64, 256}, 0.01, 8, runner.Config{})
 	paper, spec := rows[0], rows[1]
 	// With the spec's 256 repetitions the A→B swap happens after the
 	// paper's timeout: scanners on a B-train phase are unreachable, so
@@ -39,7 +40,7 @@ func TestAblationCorrelatorStrictThresholdHurts(t *testing.T) {
 	// Threshold 1 (not 0: zero-valued config fields mean "default") at
 	// BER 1/30: only ~37%% of sync words arrive with at most one error,
 	// and every lost FHS costs a full backoff cycle.
-	rows := AblationCorrelator([]int{1, 7}, 1.0/30, 12)
+	rows := AblationCorrelator([]int{1, 7}, 1.0/30, 12, runner.Config{})
 	strict, normal := rows[0], rows[1]
 	if strict.FailRate <= normal.FailRate {
 		t.Fatalf("threshold 1 must fail more at BER 1/30: %v vs %v",
@@ -50,7 +51,7 @@ func TestAblationCorrelatorStrictThresholdHurts(t *testing.T) {
 func TestPacketTypeThroughputTradeoffs(t *testing.T) {
 	types := []packet.Type{packet.TypeDM1, packet.TypeDH5}
 	bers := []BERPoint{{"0", 0}, {"1/150", 1.0 / 150}}
-	rows := PacketTypeThroughput(types, bers, 3000, 5)
+	rows := PacketTypeThroughput(types, bers, 3000, 5, runner.Config{})
 	get := func(ty packet.Type, label string) ThroughputRow {
 		for _, r := range rows {
 			if r.Type == ty && r.BER.Label == label {

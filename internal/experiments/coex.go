@@ -43,7 +43,7 @@ const coexTrialSettleSlots = 64
 // collision-free for tens of thousands of slots. A single replica can
 // therefore legitimately report zero inter-piconet collisions;
 // averaging over clock phases restores the expected ~1/79 picture.
-func CoexSweep(counts []int, measureSlots uint64, replicas int, seed uint64, cfg ...runner.Config) []CoexRow {
+func CoexSweep(counts []int, measureSlots uint64, replicas int, seed uint64, cfg runner.Config) []CoexRow {
 	sw := runner.Sweep[int, coexObs]{
 		Name:     "coex",
 		Points:   counts,
@@ -64,7 +64,7 @@ func CoexSweep(counts []int, measureSlots uint64, replicas int, seed uint64, cfg
 			return coexObs{Bytes: m.Bytes, Retransmits: m.Retransmits, Inter: m.Inter, Intra: m.Intra}
 		},
 	}
-	return runner.ReducePoints(counts, sw.Run(oneCfg(cfg)), func(piconets int, obs []coexObs) CoexRow {
+	return runner.ReducePoints(counts, sw.Run(cfg), func(piconets int, obs []coexObs) CoexRow {
 		row := CoexRow{Piconets: piconets, N: len(obs)}
 		for _, o := range obs {
 			row.PerLinkKbs += netspec.GoodputKbps(o.Bytes, measureSlots) / float64(piconets)
@@ -142,7 +142,7 @@ func adaptiveArm(seed uint64, mode netspec.AFHMode, width int, duty float64,
 // AdaptiveAFH sweeps the jammer width, measuring goodput for classic
 // hopping, the oracle map and the learned map on identical worlds — the
 // learned-vs-oracle ablation of the v1.2 AFH mechanism.
-func AdaptiveAFH(widths []int, duty float64, assessWindow int, measureSlots uint64, seed uint64, cfg ...runner.Config) []AdaptiveAFHRow {
+func AdaptiveAFH(widths []int, duty float64, assessWindow int, measureSlots uint64, seed uint64, cfg runner.Config) []AdaptiveAFHRow {
 	sw := runner.Sweep[int, AdaptiveAFHRow]{
 		Name:   "afh-adaptive",
 		Points: widths,
@@ -156,7 +156,7 @@ func AdaptiveAFH(widths []int, duty float64, assessWindow int, measureSlots uint
 			}
 		},
 	}
-	return runner.Flatten(sw.Run(oneCfg(cfg)))
+	return runner.Flatten(sw.Run(cfg))
 }
 
 // AdaptiveAFHTable renders the learned-vs-oracle comparison.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestCoexSweepDegradation(t *testing.T) {
-	rows := CoexSweep([]int{1, 4}, 4000, 3, 17)
+	rows := CoexSweep([]int{1, 4}, 4000, 3, 17, runner.Config{})
 	single, quad := rows[0], rows[1]
 	if single.PerLinkKbs <= 0 {
 		t.Fatal("no single-piconet goodput")
@@ -32,7 +32,7 @@ func TestCoexSweepDegradation(t *testing.T) {
 }
 
 func TestAdaptiveAFHRecoversOracleGoodput(t *testing.T) {
-	rows := AdaptiveAFH([]int{23}, 0.9, 1500, 6000, 19)
+	rows := AdaptiveAFH([]int{23}, 0.9, 1500, 6000, 19, runner.Config{})
 	r := rows[0]
 	if r.PlainKbs <= 0 || r.OracleKbs <= 0 {
 		t.Fatalf("no goodput: %+v", r)
@@ -58,19 +58,15 @@ func TestAdaptiveAFHRecoversOracleGoodput(t *testing.T) {
 // the coexistence sweeps: serial and N-worker schedules must render
 // byte-identical tables.
 func TestCoexSweepsDeterministicAcrossWorkers(t *testing.T) {
-	defer runner.SetDefaultWorkers(0)
-
-	render := func() string {
-		cs := CoexSweep([]int{1, 2, 3}, 2000, 2, 29)
-		af := AdaptiveAFH([]int{11, 23}, 0.9, 1000, 2000, 31)
+	render := func(cfg runner.Config) string {
+		cs := CoexSweep([]int{1, 2, 3}, 2000, 2, 29, cfg)
+		af := AdaptiveAFH([]int{11, 23}, 0.9, 1000, 2000, 31, cfg)
 		return CoexTable(cs).String() + AdaptiveAFHTable(0.9, af).CSV()
 	}
 
-	runner.SetDefaultWorkers(runner.Serial)
-	want := render()
+	want := render(runner.Config{Workers: runner.Serial})
 	for _, workers := range []int{1, 4} {
-		runner.SetDefaultWorkers(workers)
-		if got := render(); got != want {
+		if got := render(runner.Config{Workers: workers}); got != want {
 			t.Fatalf("coex tables diverged at %d workers:\n--- serial ---\n%s\n--- %d workers ---\n%s",
 				workers, want, workers, got)
 		}

@@ -37,18 +37,6 @@ func PaperBERs() []BERPoint {
 // TimeoutSlots is the paper's inquiry/page timeout: 1.28 s = 2048 slots.
 const TimeoutSlots = 2048
 
-// oneCfg picks the optional runner.Config off a variadic tail. Every
-// sweep entry point takes `cfg ...runner.Config` so callers that need a
-// per-run Progress hook or cancellation context (the service layer, a
-// progress-bar CLI) can pass one without the zero-config callers — the
-// tests, the benchmarks — changing at all.
-func oneCfg(cfg []runner.Config) runner.Config {
-	if len(cfg) > 0 {
-		return cfg[0]
-	}
-	return runner.Config{}
-}
-
 // twoDevices builds the standard master/slave pair for a trial.
 func twoDevices(seed uint64, ber float64) (*core.Simulation, *baseband.Device, *baseband.Device) {
 	return twoDevicesCfg(seed, ber, nil)
@@ -127,7 +115,7 @@ func inquiryTrial(mut func(*baseband.Config)) func(uint64, BERPoint) phaseStats 
 // InquirySweep measures the inquiry phase vs BER (Fig 6 data and the
 // inquiry curve of Fig 8): mean time slots over successful trials, and
 // the failure probability at the paper's timeout.
-func InquirySweep(bers []BERPoint, seeds int, cfg ...runner.Config) []PhaseResult {
+func InquirySweep(bers []BERPoint, seeds int, cfg runner.Config) []PhaseResult {
 	sw := runner.Sweep[BERPoint, phaseStats]{
 		Name:     "inquiry",
 		Points:   bers,
@@ -135,12 +123,12 @@ func InquirySweep(bers []BERPoint, seeds int, cfg ...runner.Config) []PhaseResul
 		Seed:     func(_, replica int) uint64 { return uint64(replica)*7919 + 1 },
 		Trial:    inquiryTrial(nil),
 	}
-	return runner.ReducePoints(bers, sw.Run(oneCfg(cfg)), phaseResult)
+	return runner.ReducePoints(bers, sw.Run(cfg), phaseResult)
 }
 
 // PageSweep measures the page phase vs BER (Fig 7 data and the page
 // curve of Fig 8), with devices already synchronised as after inquiry.
-func PageSweep(bers []BERPoint, seeds int, cfg ...runner.Config) []PhaseResult {
+func PageSweep(bers []BERPoint, seeds int, cfg runner.Config) []PhaseResult {
 	sw := runner.Sweep[BERPoint, phaseStats]{
 		Name:     "page",
 		Points:   bers,
@@ -157,7 +145,7 @@ func PageSweep(bers []BERPoint, seeds int, cfg ...runner.Config) []PhaseResult {
 			return out
 		},
 	}
-	return runner.ReducePoints(bers, sw.Run(oneCfg(cfg)), phaseResult)
+	return runner.ReducePoints(bers, sw.Run(cfg), phaseResult)
 }
 
 // Fig6Table renders the inquiry sweep as the paper's Fig 6.
@@ -241,7 +229,7 @@ type Fig10Row struct {
 // the channel duty cycle (fraction of the master's transmit slots that
 // carry data). The paper's Fig 10: both curves linear, TX above RX,
 // fractions of a percent.
-func Fig10MasterActivity(duties []float64, measureSlots uint64, seed uint64, cfg ...runner.Config) []Fig10Row {
+func Fig10MasterActivity(duties []float64, measureSlots uint64, seed uint64, cfg runner.Config) []Fig10Row {
 	sw := runner.Sweep[float64, Fig10Row]{
 		Name:   "fig10",
 		Points: duties,
@@ -270,7 +258,7 @@ func Fig10MasterActivity(duties []float64, measureSlots uint64, seed uint64, cfg
 			return Fig10Row{DutyCycle: duty, TxActivity: tx, RxActivity: rx}
 		},
 	}
-	return runner.Flatten(sw.Run(oneCfg(cfg)))
+	return runner.Flatten(sw.Run(cfg))
 }
 
 // Fig10Table renders Fig 10.
@@ -293,7 +281,7 @@ type Fig11Row struct {
 // the master transmitting a DH3 data packet every dataPeriod slots (the
 // paper fixes 100). The active-mode value is Tsniff-independent; it is
 // measured as the Tsniff=0 point of the same sweep.
-func Fig11SniffActivity(tsniffs []int, dataPeriod int, measureSlots uint64, seed uint64, cfg ...runner.Config) []Fig11Row {
+func Fig11SniffActivity(tsniffs []int, dataPeriod int, measureSlots uint64, seed uint64, cfg runner.Config) []Fig11Row {
 	points := append([]int{0}, tsniffs...)
 	sw := runner.Sweep[int, float64]{
 		Name:   "fig11",
@@ -327,7 +315,7 @@ func Fig11SniffActivity(tsniffs []int, dataPeriod int, measureSlots uint64, seed
 			return tx + rx
 		},
 	}
-	acts := runner.Flatten(sw.Run(oneCfg(cfg)))
+	acts := runner.Flatten(sw.Run(cfg))
 	active := acts[0]
 	out := make([]Fig11Row, 0, len(tsniffs))
 	for i, t := range tsniffs {
@@ -361,7 +349,7 @@ type Fig12Row struct {
 // data: active mode costs the carrier-sense windows plus the master's
 // periodic sync polls (the paper's flat 2.6%), hold costs one resync
 // listen per cycle. Active mode is the Thold=0 point of the same sweep.
-func Fig12HoldActivity(tholds []int, measureSlots uint64, seed uint64, cfg ...runner.Config) []Fig12Row {
+func Fig12HoldActivity(tholds []int, measureSlots uint64, seed uint64, cfg runner.Config) []Fig12Row {
 	points := append([]int{0}, tholds...)
 	sw := runner.Sweep[int, float64]{
 		Name:   "fig12",
@@ -384,7 +372,7 @@ func Fig12HoldActivity(tholds []int, measureSlots uint64, seed uint64, cfg ...ru
 			return tx + rx
 		},
 	}
-	acts := runner.Flatten(sw.Run(oneCfg(cfg)))
+	acts := runner.Flatten(sw.Run(cfg))
 	active := acts[0]
 	out := make([]Fig12Row, 0, len(tholds))
 	for i, th := range tholds {

@@ -3,10 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 func TestInquirySweepShape(t *testing.T) {
-	rows := InquirySweep([]BERPoint{{"1/100", 0.01}, {"1/30", 1.0 / 30}}, 6)
+	rows := InquirySweep([]BERPoint{{"1/100", 0.01}, {"1/30", 1.0 / 30}}, 6, runner.Config{})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -25,7 +27,7 @@ func TestInquirySweepShape(t *testing.T) {
 }
 
 func TestPageSweepShape(t *testing.T) {
-	rows := PageSweep([]BERPoint{{"0", 0}, {"1/100", 0.01}, {"1/30", 1.0 / 30}}, 8)
+	rows := PageSweep([]BERPoint{{"0", 0}, {"1/100", 0.01}, {"1/30", 1.0 / 30}}, 8, runner.Config{})
 	clean, mid, noisy := rows[0], rows[1], rows[2]
 	if clean.FailRate != 0 {
 		t.Fatalf("noiseless page failed %.2f", clean.FailRate)
@@ -92,7 +94,7 @@ func TestFig9WaveformsProduceVCD(t *testing.T) {
 }
 
 func TestFig10LinearInDutyCycle(t *testing.T) {
-	rows := Fig10MasterActivity([]float64{0, 0.01, 0.02}, 4000, 1)
+	rows := Fig10MasterActivity([]float64{0, 0.01, 0.02}, 4000, 1, runner.Config{})
 	if rows[0].TxActivity != 0 {
 		t.Fatalf("idle master TX activity = %v", rows[0].TxActivity)
 	}
@@ -114,7 +116,7 @@ func TestFig10LinearInDutyCycle(t *testing.T) {
 }
 
 func TestFig11SniffCrossover(t *testing.T) {
-	rows := Fig11SniffActivity([]int{20, 100}, 100, 6000, 2)
+	rows := Fig11SniffActivity([]int{20, 100}, 100, 6000, 2, runner.Config{})
 	short, long := rows[0], rows[1]
 	if short.Active <= 0 || long.Sniff <= 0 {
 		t.Fatalf("degenerate activities: %+v", rows)
@@ -136,7 +138,7 @@ func TestFig11SniffCrossover(t *testing.T) {
 }
 
 func TestFig12HoldCrossover(t *testing.T) {
-	rows := Fig12HoldActivity([]int{50, 1000}, 8000, 3)
+	rows := Fig12HoldActivity([]int{50, 1000}, 8000, 3, runner.Config{})
 	short, long := rows[0], rows[1]
 	// Active mode: the paper's flat ~2.6%.
 	if short.Active < 0.015 || short.Active > 0.04 {

@@ -56,7 +56,7 @@ func forkDemoOptions(seed uint64) core.Options {
 // DensitySweep: per piconet count, `replicas` independent replicas and
 // `replicas` forks of one settled world, both measured over
 // measureSlots after settleSlots of warm-up.
-func ForkEnsemble(counts []int, measureSlots, settleSlots uint64, replicas int, seed uint64, cfg ...runner.Config) []ForkRow {
+func ForkEnsemble(counts []int, measureSlots, settleSlots uint64, replicas int, seed uint64, cfg runner.Config) []ForkRow {
 	baseSeed := func(point int) uint64 { return seed + uint64(counts[point])*131 }
 	perLink := func(w *netspec.World, piconets int) float64 {
 		return netspec.GoodputKbps(w.Metrics().Bytes, measureSlots) / float64(piconets)
@@ -118,9 +118,8 @@ func ForkEnsemble(counts []int, measureSlots, settleSlots uint64, replicas int, 
 			return perLink(w, piconets)
 		},
 	}
-	c := oneCfg(cfg)
-	srows := straight.Run(c)
-	frows, err := forked.Run(c)
+	srows := straight.Run(cfg)
+	frows, err := forked.Run(cfg)
 	if err != nil {
 		panic(err)
 	}

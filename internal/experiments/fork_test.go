@@ -12,7 +12,7 @@ import (
 // observations, and the whole table is schedule-independent.
 func TestForkEnsemble(t *testing.T) {
 	counts := []int{2}
-	rows := ForkEnsemble(counts, 2000, 500, 3, 1)
+	rows := ForkEnsemble(counts, 2000, 500, 3, 1, runner.Config{})
 	if len(rows) != 1 {
 		t.Fatalf("rows %d, want 1", len(rows))
 	}

@@ -40,7 +40,7 @@ const coexAssessWindowSlots = 1500
 // paper's references [3-5] and the v1.2 fix. All three arms run the
 // identical protocol (same builder, same warm-up, same clean
 // measurement window) so the columns of one row are comparable.
-func Coexistence(duties []float64, measureSlots uint64, seed uint64, cfg ...runner.Config) []CoexistenceRow {
+func Coexistence(duties []float64, measureSlots uint64, seed uint64, cfg runner.Config) []CoexistenceRow {
 	const width = jammerHi - jammerLo + 1
 	sw := runner.Sweep[float64, CoexistenceRow]{
 		Name:   "coexistence",
@@ -59,7 +59,7 @@ func Coexistence(duties []float64, measureSlots uint64, seed uint64, cfg ...runn
 			}
 		},
 	}
-	return runner.Flatten(sw.Run(oneCfg(cfg)))
+	return runner.Flatten(sw.Run(cfg))
 }
 
 // CoexistenceTable renders the AFH comparison.
@@ -86,7 +86,7 @@ type InterferenceRow struct {
 // MultiPiconet measures goodput degradation when several independent
 // piconets share the room: uncoordinated hop sequences collide at the
 // ~1/79 chance level per slot, the scenario of the paper's reference [4].
-func MultiPiconet(counts []int, measureSlots uint64, seed uint64, cfg ...runner.Config) []InterferenceRow {
+func MultiPiconet(counts []int, measureSlots uint64, seed uint64, cfg runner.Config) []InterferenceRow {
 	sw := runner.Sweep[int, InterferenceRow]{
 		Name:   "interference",
 		Points: counts,
@@ -139,7 +139,7 @@ func MultiPiconet(counts []int, measureSlots uint64, seed uint64, cfg ...runner.
 			}
 		},
 	}
-	return runner.Flatten(sw.Run(oneCfg(cfg)))
+	return runner.Flatten(sw.Run(cfg))
 }
 
 // MultiPiconetTable renders the co-located piconet sweep.

@@ -3,10 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 func TestCoexistenceAFHRecoversGoodput(t *testing.T) {
-	rows := Coexistence([]float64{0, 0.9}, 4000, 11)
+	rows := Coexistence([]float64{0, 0.9}, 4000, 11, runner.Config{})
 	clean, jammed := rows[0], rows[1]
 	if clean.PlainKbs <= 0 {
 		t.Fatal("no baseline goodput")
@@ -33,7 +35,7 @@ func TestCoexistenceAFHRecoversGoodput(t *testing.T) {
 }
 
 func TestMultiPiconetDegradation(t *testing.T) {
-	rows := MultiPiconet([]int{1, 3}, 4000, 13)
+	rows := MultiPiconet([]int{1, 3}, 4000, 13, runner.Config{})
 	single, triple := rows[0], rows[1]
 	if single.PerLinkKbs <= 0 {
 		t.Fatal("no single-piconet goodput")

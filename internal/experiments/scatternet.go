@@ -54,7 +54,7 @@ const scatSettlePeriods = 3
 // the relative phase between the two piconets' slot grids shifts how
 // much of each presence window survives boundary rounding, so a single
 // replica can sit a few percent off the mean.
-func ScatternetSweep(duties []float64, measureSlots uint64, replicas int, seed uint64, cfg ...runner.Config) []ScatternetRow {
+func ScatternetSweep(duties []float64, measureSlots uint64, replicas int, seed uint64, cfg runner.Config) []ScatternetRow {
 	sw := runner.Sweep[float64, scatObs]{
 		Name:     "scatternet",
 		Points:   duties,
@@ -86,7 +86,7 @@ func ScatternetSweep(duties []float64, measureSlots uint64, replicas int, seed u
 			}
 		},
 	}
-	return runner.ReducePoints(duties, sw.Run(oneCfg(cfg)), func(duty float64, obs []scatObs) ScatternetRow {
+	return runner.ReducePoints(duties, sw.Run(cfg), func(duty float64, obs []scatObs) ScatternetRow {
 		row := ScatternetRow{Duty: duty, N: len(obs)}
 		for _, o := range obs {
 			row.GoodputKbps += netspec.GoodputKbps(o.Bytes, measureSlots)

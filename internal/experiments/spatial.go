@@ -51,7 +51,7 @@ func DensitySpec(piconets int) netspec.Spec {
 // CoexSweep ceiling: 32+ piconets is the regime where spatial reuse
 // separates from the shared-ether model. Replicas average over clock
 // phases exactly as CoexSweep does.
-func DensitySweep(counts []int, measureSlots uint64, replicas int, seed uint64, cfg ...runner.Config) []DensityRow {
+func DensitySweep(counts []int, measureSlots uint64, replicas int, seed uint64, cfg runner.Config) []DensityRow {
 	sw := runner.Sweep[int, coexObs]{
 		Name:     "density",
 		Points:   counts,
@@ -69,7 +69,7 @@ func DensitySweep(counts []int, measureSlots uint64, replicas int, seed uint64, 
 			return coexObs{Bytes: m.Bytes, Retransmits: m.Retransmits, Inter: m.Inter, Intra: m.Intra}
 		},
 	}
-	return runner.ReducePoints(counts, sw.Run(oneCfg(cfg)), func(piconets int, obs []coexObs) DensityRow {
+	return runner.ReducePoints(counts, sw.Run(cfg), func(piconets int, obs []coexObs) DensityRow {
 		row := DensityRow{Piconets: piconets, N: len(obs)}
 		for _, o := range obs {
 			row.PerLinkKbs += netspec.GoodputKbps(o.Bytes, measureSlots) / float64(piconets)

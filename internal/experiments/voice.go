@@ -21,7 +21,7 @@ type VoiceRow struct {
 // type: HV1's repetition code trades capacity for robustness, HV3 the
 // reverse — the synchronous-link side of the packet-choice analysis the
 // paper's introduction motivates.
-func VoiceQuality(types []packet.Type, bers []BERPoint, measureSlots uint64, seed uint64, cfg ...runner.Config) []VoiceRow {
+func VoiceQuality(types []packet.Type, bers []BERPoint, measureSlots uint64, seed uint64, cfg runner.Config) []VoiceRow {
 	points := runner.Cross(types, bers)
 	sw := runner.Sweep[runner.Pair[packet.Type, BERPoint], VoiceRow]{
 		Name:   "voice",
@@ -67,7 +67,7 @@ func VoiceQuality(types []packet.Type, bers []BERPoint, measureSlots uint64, see
 			}
 		},
 	}
-	rows := runner.Flatten(sw.Run(oneCfg(cfg)))
+	rows := runner.Flatten(sw.Run(cfg))
 	out := rows[:0]
 	for _, r := range rows {
 		if r.Delivered >= 0 {

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/runner"
 )
 
 func TestVoiceQualityOrdering(t *testing.T) {
 	types := []packet.Type{packet.TypeHV1, packet.TypeHV2, packet.TypeHV3}
 	bers := []BERPoint{{"1/200", 1.0 / 200}}
-	rows := VoiceQuality(types, bers, 3000, 21)
+	rows := VoiceQuality(types, bers, 3000, 21, runner.Config{})
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -41,7 +42,7 @@ func TestVoiceQualityOrdering(t *testing.T) {
 }
 
 func TestVoiceCleanChannelPerfect(t *testing.T) {
-	rows := VoiceQuality([]packet.Type{packet.TypeHV3}, []BERPoint{{"0", 0}}, 2000, 22)
+	rows := VoiceQuality([]packet.Type{packet.TypeHV3}, []BERPoint{{"0", 0}}, 2000, 22, runner.Config{})
 	if len(rows) != 1 || rows[0].BitPerfect < 0.99 {
 		t.Fatalf("clean channel voice imperfect: %+v", rows)
 	}

@@ -76,12 +76,6 @@ type Selector struct {
 	c1 uint32 // address bits 8,6,4,2,0
 	d1 uint32 // address bits 18-10
 	e  uint32 // address bits 13,11,9,7,5,3,1
-
-	// trainCache memoises the page/inquiry/scan/response selections,
-	// which — unlike the basic sequence — feed the kernel nothing but
-	// the 5-bit phase X and Y1, so each of the 64 inputs is computed at
-	// most once per selector. Entries store frequency+1 (0 = unfilled).
-	trainCache [NumScanFreqs][2]int8
 }
 
 // NewSelector precomputes the kernel's address-derived inputs.
@@ -113,14 +107,9 @@ func (s *Selector) kernel(x, y1, a, b, c, d, e, f uint32) int {
 }
 
 // trainKernel runs the selection box for the clock-independent page /
-// inquiry / scan / response mappings (address inputs un-XORed, F = 0)
-// through the per-phase cache.
+// inquiry / scan / response mappings (address inputs un-XORed, F = 0).
 func (s *Selector) trainKernel(x, y1 uint32) int {
-	slot := &s.trainCache[x%NumScanFreqs][y1&1]
-	if *slot == 0 {
-		*slot = int8(s.kernel(x%NumScanFreqs, y1&1, s.a1, s.b, s.c1, s.d1, s.e, 0) + 1)
-	}
-	return int(*slot) - 1
+	return s.kernel(x%NumScanFreqs, y1&1, s.a1, s.b, s.c1, s.d1, s.e, 0)
 }
 
 // Basic returns the connection-state (basic) hopping frequency for the

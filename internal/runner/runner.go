@@ -24,17 +24,12 @@ import (
 // calling goroutine, with no pool at all.
 const Serial = -1
 
-// Config controls how a sweep is executed. The zero value uses the
-// package defaults (see SetDefaultWorkers / SetDefaultJobs).
+// Config controls how a sweep is executed. The zero value runs a
+// GOMAXPROCS-sized pool with no progress reports and no cancellation.
 type Config struct {
-	// Workers is the pool size: 0 uses the package default (which in
-	// turn defaults to GOMAXPROCS), Serial (-1) runs inline on the
-	// calling goroutine, n >= 1 spawns exactly n workers.
+	// Workers is the pool size: 0 uses GOMAXPROCS, Serial (-1) runs
+	// inline on the calling goroutine, n >= 1 spawns exactly n workers.
 	Workers int
-	// Jobs is the batch size — how many consecutive replicas one
-	// scheduled job covers. Larger batches amortise scheduling overhead
-	// for very short trials; 0 uses the package default (1).
-	Jobs int
 	// Progress, when non-nil, is called with the completed and total
 	// trial counts after every batch, from whichever worker finished it.
 	// It is per run, so overlapping runs (the service layer streams one
@@ -48,29 +43,6 @@ type Config struct {
 	// construction and must not be reported as a campaign.
 	Context context.Context
 }
-
-var (
-	defaultWorkers atomic.Int64 // 0 => GOMAXPROCS
-	defaultJobs    atomic.Int64 // 0 => 1
-)
-
-// SetDefaultWorkers sets the pool size used by sweeps whose Config
-// leaves Workers at 0. n = 0 restores the GOMAXPROCS default; Serial
-// (-1) makes every such sweep run inline. cmd binaries wire their
-// -workers flag here so the experiments API needs no plumbing.
-func SetDefaultWorkers(n int) { defaultWorkers.Store(int64(n)) }
-
-// DefaultWorkers reports the effective default pool size.
-func DefaultWorkers() int {
-	if n := int(defaultWorkers.Load()); n != 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetDefaultJobs sets the batch size used by sweeps whose Config leaves
-// Jobs at 0 (values < 1 restore the default of one replica per job).
-func SetDefaultJobs(n int) { defaultJobs.Store(int64(n)) }
 
 // Sweep describes one embarrassingly parallel experiment: Replicas
 // independent trials at each point of Points.
@@ -128,31 +100,23 @@ func (s Sweep[P, R]) Run(cfg Config) [][]R {
 
 	workers := cfg.Workers
 	if workers == 0 {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers <= Serial {
 		workers = Serial
 	}
 
 	// One flat trial index per (point, replica); a job is a batch of
-	// consecutive indices claimed with an atomic cursor. When neither
-	// the config nor the package default pins a batch size, size jobs so
-	// each worker claims the cursor a handful of times: per-replica jobs
-	// make very short trials pay an atomic round-trip and a shared
+	// consecutive indices claimed with an atomic cursor. Jobs are sized
+	// so each worker claims the cursor a handful of times: per-replica
+	// jobs make very short trials pay an atomic round-trip and a shared
 	// cache-line write into the results rows for every replica, which is
 	// measurable contention at micro-trial rates. Batching by consecutive
 	// indices also keeps each results row written by one worker. The
 	// (point, replica) indexing is untouched, so the output is identical.
-	batch := cfg.Jobs
-	if batch < 1 {
-		if batch = int(defaultJobs.Load()); batch < 1 {
-			if workers > 0 && total > workers {
-				batch = total / (workers * 8)
-			}
-			if batch < 1 {
-				batch = 1
-			}
-		}
+	batch := 1
+	if workers > 0 && total > workers {
+		batch = max(total/(workers*8), 1)
 	}
 	// Cancellation gates the replica loop itself: every batch claim —
 	// serial or pooled — re-checks the context, so a canceled campaign
@@ -180,8 +144,8 @@ func (s Sweep[P, R]) Run(cfg Config) [][]R {
 		}
 		return results
 	}
-	if max := (total + batch - 1) / batch; workers > max {
-		workers = max
+	if jobs := (total + batch - 1) / batch; workers > jobs {
+		workers = jobs
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup

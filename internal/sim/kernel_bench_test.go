@@ -7,7 +7,8 @@ import (
 // Scheduler microbenchmarks: the three load shapes the baseband layer
 // puts on the kernel, isolated from the rest of the model so queue
 // changes are measurable apart from full-figure sweeps. See
-// bench/README.md for how to read them.
+// EXPERIMENTS.md, "Reading the kernel microbenchmarks", for how to read
+// them.
 
 // BenchmarkKernelSlotGrid is the steady-state hot path: a handful of
 // self-rescheduling slot callbacks (TX loops, listen windows) marching

@@ -16,7 +16,8 @@ import (
 //	GET    /v1/stats            queue depth, per-state job counts, cache counters
 //
 // Invalid specs come back as 422 with the *netspec.StanzaError text, a
-// full queue as 429. All bodies are JSON.
+// submit body over 1 MiB as 413, a full queue as 429. All bodies are
+// JSON.
 func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", e.handleSubmit)
@@ -44,11 +45,21 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBytes bounds a submit body, so a client cannot make the
+// decoder buffer an arbitrarily large request. The shipped example
+// specs are under 400 bytes.
+const maxRequestBytes = 1 << 20
+
 func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxRequestBytes)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

@@ -192,6 +192,23 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizeBody pins the submit bound: a body past
+// maxRequestBytes is refused with 413 before any job is queued.
+func TestServerRejectsOversizeBody(t *testing.T) {
+	e := New(Options{MaxJobs: 1, Workers: runner.Serial})
+	defer e.Close()
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+
+	body := `{"slots": 100, "spec": {"name": "` + strings.Repeat("a", maxRequestBytes) + `"}}`
+	if code, _ := postJob(t, ts, body); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: HTTP %d, want 413", code)
+	}
+	if st := e.Stats(); st.QueueDepth != 0 || len(st.Jobs) != 0 {
+		t.Fatalf("oversize body queued work: %+v", st)
+	}
+}
+
 func TestServerCancel(t *testing.T) {
 	e := New(Options{MaxJobs: 1, Workers: runner.Serial})
 	defer e.Close()
