@@ -40,7 +40,7 @@ func runSpecFile(path string, seed, slots, settle uint64, trials, workers int, f
 			// One settled world, one fork with seed 0: the straight
 			// continuation of the checkpoint — same discipline as
 			// replica 0 of a forked campaign.
-			ck, err := simd.SettleCheckpoint(spec, seed, settle)
+			ck, err := simd.SettleCheckpoint(nil, spec, seed, settle)
 			if err != nil {
 				fatalf("btsim: %v", err)
 			}

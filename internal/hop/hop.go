@@ -42,25 +42,36 @@ func perm5Butterfly(z, ctl uint32) uint32 {
 	return z & 0x1F
 }
 
-// perm5Tab caches the butterfly output for every (control, input) pair,
-// indexed ctl<<5 | z. Connection-state hop selection runs the kernel on
-// every single tune, so the 512 KiB table retires the 14-stage loop
-// from the simulator's per-slot path.
-var perm5Tab = func() []uint8 {
-	t := make([]uint8, 1<<19)
-	for ctl := uint32(0); ctl < 1<<14; ctl++ {
-		for z := uint32(0); z < 32; z++ {
-			t[ctl<<5|z] = uint8(perm5Butterfly(z, ctl))
+// The butterfly's stages run in order, and its first five exchanges are
+// controlled by the pHigh bits (control bits 13..9), the last nine by
+// the pLow bits (8..0). So PERM5 factors into two lookups: perm5Hi
+// (1 KiB, indexed pHigh<<5 | z) runs exchanges 0-4 and perm5Lo
+// (16 KiB, indexed pLow<<5 | z') runs exchanges 5-13. Connection-state
+// hop selection runs the kernel on every single tune, so the tables
+// retire the 14-stage loop from the simulator's per-slot path; being
+// small, they sit in L1 and cost every process almost nothing to build
+// at init, unlike a single table over the whole 19-bit input.
+var (
+	perm5Hi [1 << 10]uint8
+	perm5Lo [1 << 14]uint8
+)
+
+func init() {
+	for z := uint32(0); z < 32; z++ {
+		for pHigh := uint32(0); pHigh < 1<<5; pHigh++ {
+			perm5Hi[pHigh<<5|z] = uint8(perm5Butterfly(z, pHigh<<9))
+		}
+		for pLow := uint32(0); pLow < 1<<9; pLow++ {
+			perm5Lo[pLow<<5|z] = uint8(perm5Butterfly(z, pLow))
 		}
 	}
-	return t
-}()
+}
 
 // perm5 looks up the butterfly permutation for input z under the 14-bit
 // control word (pHigh 5 bits, pLow 9 bits).
 func perm5(z uint32, pHigh, pLow uint32) uint32 {
-	ctl := pLow&0x1FF | (pHigh&0x1F)<<9 // control bit i at position i
-	return uint32(perm5Tab[ctl<<5|z&0x1F])
+	mid := uint32(perm5Hi[(pHigh&0x1F)<<5|z&0x1F])
+	return uint32(perm5Lo[(pLow&0x1FF)<<5|mid])
 }
 
 // bank maps the kernel's final adder output to an RF channel: even

@@ -145,11 +145,27 @@ type Result struct {
 	Points []PointResult `json:"points"`
 }
 
-// replicaChunkSlots is the horizon granularity at which a running
-// replica re-checks its context. Chunking only splits RunSlots calls —
-// the kernel advances to the same slot boundaries either way — so the
-// chunk size cannot influence results, only cancellation latency.
+// replicaChunkSlots is the granularity at which a running replica
+// re-checks its context, in the settle and in the measured horizon.
+// Chunking only splits RunSlots calls — the kernel advances to the
+// same slot boundaries either way — so the chunk size cannot influence
+// results, only cancellation latency.
 const replicaChunkSlots = 4096
+
+// runChunked advances s by slots in replicaChunkSlots chunks and
+// returns ctx.Err() at the first chunk boundary after a non-nil ctx is
+// canceled.
+func runChunked(ctx context.Context, s *core.Simulation, slots uint64) error {
+	for done := uint64(0); done < slots; {
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		n := min(replicaChunkSlots, slots-done)
+		s.RunSlots(n)
+		done += n
+	}
+	return nil
+}
 
 // RunReplica runs one replica of one point under the campaign
 // discipline — build from seed, start, settle, open the window, run the
@@ -157,8 +173,9 @@ const replicaChunkSlots = 4096
 // unit the service executes per (point, seed), and cmd/btsim -spec
 // calls it too, which is why a CLI run and the matching server replica
 // entry are byte-identical JSON. A non-nil ctx cancels between slot
-// chunks; the partial window is returned and the caller is responsible
-// for discarding it (campaign results never include canceled windows).
+// chunks of the settle or the horizon; the partial window is returned
+// and the caller is responsible for discarding it (campaign results
+// never include canceled windows).
 func RunReplica(ctx context.Context, spec netspec.Spec, seed, settleSlots, slots uint64) (netspec.Metrics, error) {
 	s := core.NewSimulation(core.Options{Seed: seed})
 	w, err := netspec.Build(s, spec)
@@ -166,35 +183,29 @@ func RunReplica(ctx context.Context, spec netspec.Spec, seed, settleSlots, slots
 		return netspec.Metrics{}, err
 	}
 	w.Start()
-	if settleSlots > 0 {
-		s.RunSlots(settleSlots)
+	if err := runChunked(ctx, s, settleSlots); err != nil {
+		return netspec.Metrics{}, err
 	}
 	w.ResetMetrics()
-	for done := uint64(0); done < slots; {
-		if ctx != nil && ctx.Err() != nil {
-			return w.Metrics(), ctx.Err()
-		}
-		n := min(replicaChunkSlots, slots-done)
-		s.RunSlots(n)
-		done += n
-	}
-	return w.Metrics(), nil
+	err = runChunked(ctx, s, slots)
+	return w.Metrics(), err
 }
 
 // SettleCheckpoint builds spec under seed, starts its traffic, runs
 // the settle horizon and captures the world at the next quiescent slot
 // edge, returning the serialized checkpoint. It is the once-per-point
 // Prepare half of a forked campaign; the checkpoint embeds the build
-// seed, so ForkReplica needs nothing but the bytes.
-func SettleCheckpoint(spec netspec.Spec, seed, settleSlots uint64) ([]byte, error) {
+// seed, so ForkReplica needs nothing but the bytes. A non-nil ctx
+// cancels between settle chunks and returns ctx.Err().
+func SettleCheckpoint(ctx context.Context, spec netspec.Spec, seed, settleSlots uint64) ([]byte, error) {
 	s := core.NewSimulation(core.Options{Seed: seed})
 	w, err := netspec.Build(s, spec)
 	if err != nil {
 		return nil, err
 	}
 	w.Start()
-	if settleSlots > 0 {
-		s.RunSlots(settleSlots)
+	if err := runChunked(ctx, s, settleSlots); err != nil {
+		return nil, err
 	}
 	ck, err := w.Snapshot()
 	if err != nil {
@@ -222,15 +233,8 @@ func ForkReplica(ctx context.Context, ckBytes []byte, forkSeed, slots uint64) (n
 		return netspec.Metrics{}, err
 	}
 	w.ResetMetrics()
-	for done := uint64(0); done < slots; {
-		if ctx != nil && ctx.Err() != nil {
-			return w.Metrics(), ctx.Err()
-		}
-		n := min(replicaChunkSlots, slots-done)
-		s.RunSlots(n)
-		done += n
-	}
-	return w.Metrics(), nil
+	err = runChunked(ctx, s, slots)
+	return w.Metrics(), err
 }
 
 // Run executes the campaign and returns its result. The replicas fan
@@ -267,7 +271,7 @@ func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Re
 				return n.Seeds.First + uint64(replica)
 			},
 			Prepare: func(seed uint64, spec netspec.Spec) ([]byte, error) {
-				return cks.settle(spec, seed, n.SettleSlots)
+				return cks.settle(ctx, spec, seed, n.SettleSlots)
 			},
 			Trial: func(ck []byte, forkSeed uint64, _ netspec.Spec) rep {
 				m, err := ForkReplica(ctx, ck, forkSeed, n.Slots)
@@ -338,10 +342,10 @@ func newCkStore(capacity int) *ckStore {
 // settleSlots), from the cache when possible. The lock is not held
 // across the settle itself; two campaigns racing on the same key both
 // simulate and store byte-identical results, which is wasteful but
-// correct.
-func (c *ckStore) settle(spec netspec.Spec, seed, settleSlots uint64) ([]byte, error) {
+// correct. A settle canceled through ctx stores nothing.
+func (c *ckStore) settle(ctx context.Context, spec netspec.Spec, seed, settleSlots uint64) ([]byte, error) {
 	if c == nil {
-		return SettleCheckpoint(spec, seed, settleSlots)
+		return SettleCheckpoint(ctx, spec, seed, settleSlots)
 	}
 	key, err := ckKey(spec, seed, settleSlots)
 	if err != nil {
@@ -358,7 +362,7 @@ func (c *ckStore) settle(spec netspec.Spec, seed, settleSlots uint64) ([]byte, e
 	if ok {
 		return b, nil
 	}
-	b, err = SettleCheckpoint(spec, seed, settleSlots)
+	b, err = SettleCheckpoint(ctx, spec, seed, settleSlots)
 	if err != nil {
 		return nil, err
 	}

@@ -340,8 +340,8 @@ func (e *Engine) monitor(ctx context.Context, job *Job) {
 		return // the campaign will report the same failure
 	}
 	w.Start()
-	if job.Req.SettleSlots > 0 {
-		s.RunSlots(job.Req.SettleSlots)
+	if runChunked(ctx, s, job.Req.SettleSlots) != nil {
+		return
 	}
 	w.ResetMetrics()
 	for done := uint64(0); done < job.Req.Slots; {

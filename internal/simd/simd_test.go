@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -209,6 +210,70 @@ func TestEngineCancel(t *testing.T) {
 
 	if s := e.Stats(); s.Jobs[StateCanceled] != 2 {
 		t.Fatalf("stats count %d canceled jobs, want 2", s.Jobs[StateCanceled])
+	}
+}
+
+// TestCancelDuringLongSettle cancels jobs inside a 10^7-slot settle —
+// a straight replica, a forked campaign's checkpoint settle, and a
+// straight replica with the monitor replica running beside it — and
+// requires the job (and the monitor goroutine) to stop within a few
+// replica chunks of the cancel instead of after the whole settle.
+func TestCancelDuringLongSettle(t *testing.T) {
+	// Time one chunk of the same world; the allowed latency is a
+	// handful of chunks plus scheduling slack, while finishing the
+	// settle would take about 2400 chunks.
+	s := core.NewSimulation(core.Options{Seed: 7})
+	w, err := netspec.Build(s, tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Start()
+	s.RunSlots(replicaChunkSlots)
+	t0 := time.Now()
+	s.RunSlots(replicaChunkSlots)
+	limit := 5*time.Since(t0) + 250*time.Millisecond
+
+	for _, tc := range []struct {
+		name     string
+		fork     bool
+		snapshot uint64
+	}{
+		{"straight", false, 0},
+		{"fork", true, 0},
+		{"monitor", false, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			e := New(Options{MaxJobs: 1, Workers: runner.Serial, SnapshotSlots: tc.snapshot})
+			spec := tinySpec()
+			job, err := e.Submit(Request{
+				Spec:        &spec,
+				Seeds:       SeedRange{First: 7, Count: 1},
+				Slots:       1000,
+				SettleSlots: 10_000_000,
+				Fork:        tc.fork,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, job, StateRunning)
+			time.Sleep(100 * time.Millisecond) // well into the settle
+			t0 := time.Now()
+			job.Cancel()
+			for !job.State().terminal() && time.Since(t0) < limit {
+				time.Sleep(time.Millisecond)
+			}
+			if st := job.State(); st != StateCanceled {
+				t.Fatalf("job state %s %v after Cancel, want canceled within %v", st, time.Since(t0), limit)
+			}
+			e.Close()
+			for runtime.NumGoroutine() > baseline && time.Since(t0) < limit {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Fatalf("%d goroutines still running %v after Cancel, want %d", n, time.Since(t0), baseline)
+			}
+		})
 	}
 }
 
