@@ -287,31 +287,31 @@ func TestCancelChurnInCalendarWindowUnlinksEagerly(t *testing.T) {
 	}
 }
 
-// TestNextDue pins the quiescence probe: it must report the earliest
-// pending timestamp across both the calendar and the overflow heap,
-// see through cancelled heap tombstones, and go quiet when drained.
+// TestNextDue pins the next due event: Step must fire the earliest
+// pending event across both the calendar and the overflow heap, see
+// through cancelled heap tombstones, and report no work when drained.
 func TestNextDue(t *testing.T) {
 	k := NewKernel()
-	if _, ok := k.NextDue(); ok {
-		t.Fatal("empty kernel reports work due")
+	if k.Step() {
+		t.Fatal("empty kernel fired an event")
 	}
-	far := k.Schedule(Slots(500000), func() {}) // overflow heap
-	if due, ok := k.NextDue(); !ok || due != Time(Slots(500000)) {
-		t.Fatalf("NextDue = %v,%v want far event", due, ok)
+	var fired []Time
+	record := func() { fired = append(fired, k.Now()) }
+	far := k.Schedule(Slots(500000), record) // overflow heap
+	k.Schedule(Slots(3), record)             // calendar
+	k.Schedule(Slots(7), record)             // calendar
+	if !k.Step() || len(fired) != 1 || fired[0] != Time(Slots(3)) {
+		t.Fatalf("first Step fired %v, want the calendar event at %v", fired, Time(Slots(3)))
 	}
-	k.Schedule(Slots(3), func() {}) // calendar
-	if due, ok := k.NextDue(); !ok || due != Time(Slots(3)) {
-		t.Fatalf("NextDue = %v,%v want calendar event", due, ok)
-	}
-	k.RunUntil(Time(Slots(4)))
-	if due, ok := k.NextDue(); !ok || due != Time(Slots(500000)) {
-		t.Fatalf("NextDue after run = %v,%v want far event", due, ok)
+	k.RunUntil(Time(Slots(8)))
+	if len(fired) != 2 || fired[1] != Time(Slots(7)) {
+		t.Fatalf("RunUntil fired %v, want the second calendar event at %v", fired, Time(Slots(7)))
 	}
 	k.Cancel(far)
-	if _, ok := k.NextDue(); ok {
-		t.Fatal("NextDue sees a cancelled heap event")
+	if k.Step() {
+		t.Fatalf("Step fired a cancelled heap event (fired %v)", fired)
 	}
-	if k.Run() != Time(Slots(4)) || k.Pending() != 0 {
+	if k.Run() != Time(Slots(8)) || k.Pending() != 0 {
 		t.Fatal("drained kernel in a bad state")
 	}
 }

@@ -4,12 +4,11 @@ import (
 	"testing"
 )
 
-// Table-driven edge cases for Kernel.NextDue, the quiescence probe the
-// whole-world idle fast-forward trusts (see baseband's quiescence
-// path). Until now it was only exercised incidentally; these cases pin
-// it across the calendar-window/overflow-heap boundary, immediately
-// after cursor-advance migration and window-doubling rehash, and through
-// heap tombstones.
+// Table-driven edge cases for the next due event: the first event Step
+// fires, and the clock it leaves, must be the earliest pending one.
+// The cases pin that across the calendar-window/overflow-heap boundary,
+// immediately after cursor-advance migration and window-doubling
+// rehash, and through heap tombstones.
 func TestNextDueEdgeCases(t *testing.T) {
 	calLim0 := func() Time { return NewKernel().q.calLim } // initial window edge
 	cases := []struct {
@@ -193,22 +192,22 @@ func TestNextDueEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := tc.make()
-			due, ok := k.NextDue()
-			if ok != tc.ok {
-				t.Fatalf("NextDue ok = %v, want %v", ok, tc.ok)
+			pending := k.Pending()
+			if ok := k.Step(); ok != tc.ok {
+				t.Fatalf("Step ran = %v, want %v", ok, tc.ok)
 			}
-			if ok && due != tc.want {
-				t.Fatalf("NextDue = %v, want %v", due, tc.want)
+			if !tc.ok {
+				return
 			}
-			// NextDue is a pure probe: asking again, and then draining,
-			// must agree with itself.
-			if due2, ok2 := k.NextDue(); due2 != due || ok2 != ok {
-				t.Fatalf("NextDue not idempotent: (%v,%v) then (%v,%v)", due, ok, due2, ok2)
+			if due := k.Now(); due != tc.want {
+				t.Fatalf("first event fired at %v, want %v", due, tc.want)
 			}
-			if ok {
-				if end := k.Run(); end < due {
-					t.Fatalf("drain ended at %v, before the reported due time %v", end, due)
-				}
+			if got := k.Pending(); got != pending-1 {
+				t.Fatalf("Step fired %d events, want 1", pending-got)
+			}
+			// Draining the rest never runs the clock backwards.
+			if end := k.Run(); end < tc.want {
+				t.Fatalf("drain ended at %v, before the first event at %v", end, tc.want)
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/netspec"
@@ -57,6 +56,16 @@ type Request struct {
 	Fork bool `json:"fork,omitempty"`
 }
 
+// Request ceilings. The runner allocates a campaign's whole
+// [point][replica] result table before the first replica runs, so an
+// unbounded replica count (points × seeds.count) could exhaust the
+// daemon's memory at submit time; 2^32 slots of horizon or settle is
+// about 31 days of simulated time per replica.
+const (
+	maxReplicas     = 1 << 16
+	maxHorizonSlots = 1 << 32
+)
+
 // normalized returns the request with the single-point form folded into
 // Points and defaults applied, or an error describing why it can never
 // run. Spec validation errors come back as the *netspec.StanzaError the
@@ -76,8 +85,17 @@ func (r Request) normalized() (Request, error) {
 	if r.Seeds.Count < 0 {
 		return r, fmt.Errorf("simd: seeds.count %d is negative", r.Seeds.Count)
 	}
+	if r.Seeds.Count > maxReplicas/len(r.Points) { // points × count, without overflow
+		return r, fmt.Errorf("simd: %d points × seeds.count %d exceeds the limit of %d replicas", len(r.Points), r.Seeds.Count, maxReplicas)
+	}
 	if r.Slots == 0 {
 		return r, fmt.Errorf("simd: slots must be at least 1")
+	}
+	if r.Slots > maxHorizonSlots {
+		return r, fmt.Errorf("simd: slots %d exceeds the limit of %d", r.Slots, uint64(maxHorizonSlots))
+	}
+	if r.SettleSlots > maxHorizonSlots {
+		return r, fmt.Errorf("simd: settle_slots %d exceeds the limit of %d", r.SettleSlots, uint64(maxHorizonSlots))
 	}
 	for i := range r.Points {
 		if err := r.Points[i].Validate(); err != nil {
@@ -154,17 +172,41 @@ const replicaChunkSlots = 4096
 
 // runChunked advances s by slots in replicaChunkSlots chunks and
 // returns ctx.Err() at the first chunk boundary after a non-nil ctx is
-// canceled.
-func runChunked(ctx context.Context, s *core.Simulation, slots uint64) error {
+// canceled. With every > 0 the chunks also end on each multiple of
+// every slots, and tick runs there.
+func runChunked(ctx context.Context, s *core.Simulation, slots, every uint64, tick func()) error {
 	for done := uint64(0); done < slots; {
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
 		n := min(replicaChunkSlots, slots-done)
+		if every > 0 {
+			n = min(n, every-done%every)
+		}
 		s.RunSlots(n)
 		done += n
+		if every > 0 && done%every == 0 {
+			tick()
+		}
 	}
 	return nil
+}
+
+// snapshotter publishes a replica's running metrics window every
+// period slots of its measured horizon. The zero value publishes
+// nothing.
+type snapshotter struct {
+	period  uint64
+	publish func(netspec.Metrics)
+}
+
+// measure opens w's metrics window, runs the horizon and returns the
+// window. Metrics only reads the live counters, so publishing the
+// running window mid-horizon leaves the result untouched.
+func measure(ctx context.Context, s *core.Simulation, w *netspec.World, slots uint64, snap snapshotter) (netspec.Metrics, error) {
+	w.ResetMetrics()
+	err := runChunked(ctx, s, slots, snap.period, func() { snap.publish(w.Metrics()) })
+	return w.Metrics(), err
 }
 
 // RunReplica runs one replica of one point under the campaign
@@ -177,18 +219,20 @@ func runChunked(ctx context.Context, s *core.Simulation, slots uint64) error {
 // and the caller is responsible for discarding it (campaign results
 // never include canceled windows).
 func RunReplica(ctx context.Context, spec netspec.Spec, seed, settleSlots, slots uint64) (netspec.Metrics, error) {
+	return runReplica(ctx, spec, seed, settleSlots, slots, snapshotter{})
+}
+
+func runReplica(ctx context.Context, spec netspec.Spec, seed, settleSlots, slots uint64, snap snapshotter) (netspec.Metrics, error) {
 	s := core.NewSimulation(core.Options{Seed: seed})
 	w, err := netspec.Build(s, spec)
 	if err != nil {
 		return netspec.Metrics{}, err
 	}
 	w.Start()
-	if err := runChunked(ctx, s, settleSlots); err != nil {
+	if err := runChunked(ctx, s, settleSlots, 0, nil); err != nil {
 		return netspec.Metrics{}, err
 	}
-	w.ResetMetrics()
-	err = runChunked(ctx, s, slots)
-	return w.Metrics(), err
+	return measure(ctx, s, w, slots, snap)
 }
 
 // SettleCheckpoint builds spec under seed, starts its traffic, runs
@@ -204,7 +248,7 @@ func SettleCheckpoint(ctx context.Context, spec netspec.Spec, seed, settleSlots 
 		return nil, err
 	}
 	w.Start()
-	if err := runChunked(ctx, s, settleSlots); err != nil {
+	if err := runChunked(ctx, s, settleSlots, 0, nil); err != nil {
 		return nil, err
 	}
 	ck, err := w.Snapshot()
@@ -221,6 +265,10 @@ func SettleCheckpoint(ctx context.Context, spec netspec.Spec, seed, settleSlots 
 // share nothing. Cancellation mirrors RunReplica: a non-nil ctx stops
 // between slot chunks and the partial window must be discarded.
 func ForkReplica(ctx context.Context, ckBytes []byte, forkSeed, slots uint64) (netspec.Metrics, error) {
+	return forkReplica(ctx, ckBytes, forkSeed, slots, snapshotter{})
+}
+
+func forkReplica(ctx context.Context, ckBytes []byte, forkSeed, slots uint64, snap snapshotter) (netspec.Metrics, error) {
 	ck, err := netspec.DecodeCheckpoint(ckBytes)
 	if err != nil {
 		return netspec.Metrics{}, err
@@ -232,9 +280,7 @@ func ForkReplica(ctx context.Context, ckBytes []byte, forkSeed, slots uint64) (n
 	if err != nil {
 		return netspec.Metrics{}, err
 	}
-	w.ResetMetrics()
-	err = runChunked(ctx, s, slots)
-	return w.Metrics(), err
+	return measure(ctx, s, w, slots, snap)
 }
 
 // Run executes the campaign and returns its result. The replicas fan
@@ -245,13 +291,15 @@ func ForkReplica(ctx context.Context, ckBytes []byte, forkSeed, slots uint64) (n
 // produces byte-identical Result JSON. A canceled context returns
 // ctx.Err() and no result.
 func Run(ctx context.Context, req Request, cfg runner.Config) (*Result, error) {
-	return run(ctx, req, cfg, nil)
+	return run(ctx, req, cfg, nil, snapshotter{})
 }
 
-// run is Run with an optional shared checkpoint store: the engine
-// passes its LRU so repeated forked campaigns on the same settled
-// world skip the settle; bare Run settles every time.
-func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Result, error) {
+// run is Run with the engine's extras: an optional shared checkpoint
+// cache, so repeated forked campaigns on the same settled world skip
+// the settle (bare Run settles every time), and the snapshotter that
+// observes replica 0 of point 0 — the straight replica under
+// Seeds.First, or fork seed 0.
+func run(ctx context.Context, req Request, cfg runner.Config, cks *cache[[]byte], snap snapshotter) (*Result, error) {
 	n, err := req.normalized()
 	if err != nil {
 		return nil, err
@@ -261,20 +309,31 @@ func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Re
 		m   netspec.Metrics
 		err error
 	}
+	// The sweeps run over point indices, so a Trial can tell replica 0
+	// of point 0 apart.
+	points := make([]int, len(n.Points))
+	for i := range points {
+		points[i] = i
+	}
+	seed := func(point, replica int) uint64 { return n.Seeds.First + uint64(replica) }
+	observe := func(pi int, first bool) snapshotter {
+		if pi == 0 && first {
+			return snap
+		}
+		return snapshotter{}
+	}
 	var rows [][]rep
 	if n.Fork {
-		fw := runner.ForkSweep[netspec.Spec, rep]{
+		fw := runner.ForkSweep[int, rep]{
 			Name:     "campaign",
-			Points:   n.Points,
+			Points:   points,
 			Replicas: n.Seeds.Count,
-			Seed: func(point, replica int) uint64 {
-				return n.Seeds.First + uint64(replica)
+			Seed:     seed,
+			Prepare: func(seed uint64, pi int) ([]byte, error) {
+				return settle(ctx, cks, n.Points[pi], seed, n.SettleSlots)
 			},
-			Prepare: func(seed uint64, spec netspec.Spec) ([]byte, error) {
-				return cks.settle(ctx, spec, seed, n.SettleSlots)
-			},
-			Trial: func(ck []byte, forkSeed uint64, _ netspec.Spec) rep {
-				m, err := ForkReplica(ctx, ck, forkSeed, n.Slots)
+			Trial: func(ck []byte, forkSeed uint64, pi int) rep {
+				m, err := forkReplica(ctx, ck, forkSeed, n.Slots, observe(pi, forkSeed == 0))
 				return rep{m, err}
 			},
 		}
@@ -286,15 +345,13 @@ func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Re
 			return nil, fmt.Errorf("simd: settling checkpoint: %w", err)
 		}
 	} else {
-		sw := runner.Sweep[netspec.Spec, rep]{
+		sw := runner.Sweep[int, rep]{
 			Name:     "campaign",
-			Points:   n.Points,
+			Points:   points,
 			Replicas: n.Seeds.Count,
-			Seed: func(point, replica int) uint64 {
-				return n.Seeds.First + uint64(replica)
-			},
-			Trial: func(seed uint64, spec netspec.Spec) rep {
-				m, err := RunReplica(ctx, spec, seed, n.SettleSlots, n.Slots)
+			Seed:     seed,
+			Trial: func(seed uint64, pi int) rep {
+				m, err := runReplica(ctx, n.Points[pi], seed, n.SettleSlots, n.Slots, observe(pi, seed == n.Seeds.First))
 				return rep{m, err}
 			},
 		}
@@ -321,62 +378,32 @@ func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Re
 	return res, nil
 }
 
-// ckStore is the checkpoint LRU the engine keeps next to the result
-// cache, plus its lock and hit accounting. The result cache keys whole
-// campaigns; this one keys settled worlds — (canonical spec, build
-// seed, settle horizon) — so a forked what-if sweep that
-// varies only the measured horizon or the replica count still reuses
-// the expensive settle. A nil store settles every time.
-type ckStore struct {
-	mu     sync.Mutex
-	lru    *lru[[]byte]
-	hits   uint64
-	misses uint64
-}
-
-func newCkStore(capacity int) *ckStore {
-	return &ckStore{lru: newLRU[[]byte](capacity)}
-}
-
 // settle returns the serialized settle checkpoint for (spec, seed,
-// settleSlots), from the cache when possible. The lock is not held
-// across the settle itself; two campaigns racing on the same key both
-// simulate and store byte-identical results, which is wasteful but
-// correct. A settle canceled through ctx stores nothing.
-func (c *ckStore) settle(ctx context.Context, spec netspec.Spec, seed, settleSlots uint64) ([]byte, error) {
-	if c == nil {
+// settleSlots) from the checkpoint cache when possible. That cache
+// keys settled worlds — (canonical spec, build seed, settle horizon) —
+// not campaigns, so a forked what-if sweep that varies only the
+// measured horizon or the replica count still reuses the expensive
+// settle. The lock is not held across the settle itself; two campaigns
+// racing on the same key both simulate and store byte-identical
+// results, which is wasteful but correct. A settle canceled through
+// ctx stores nothing, and a nil cache settles every time.
+func settle(ctx context.Context, cks *cache[[]byte], spec netspec.Spec, seed, settleSlots uint64) ([]byte, error) {
+	if cks == nil {
 		return SettleCheckpoint(ctx, spec, seed, settleSlots)
 	}
 	key, err := ckKey(spec, seed, settleSlots)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	b, ok := c.lru.get(key)
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	c.mu.Unlock()
-	if ok {
+	if b, ok := cks.get(key); ok {
 		return b, nil
 	}
-	b, err = SettleCheckpoint(ctx, spec, seed, settleSlots)
+	b, err := SettleCheckpoint(ctx, spec, seed, settleSlots)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	c.lru.put(key, b)
-	c.mu.Unlock()
+	cks.put(key, b)
 	return b, nil
-}
-
-// stats snapshots the store for GET /v1/stats.
-func (c *ckStore) stats(capacity int) CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.lru.len(), Capacity: capacity}
 }
 
 // ckKey is the checkpoint cache key: SHA-256 over the canonical spec

@@ -58,8 +58,10 @@ type sseFrame struct {
 }
 
 // streamEvents consumes /v1/jobs/{id}/events until the server closes
-// the stream and returns every frame in order.
-func streamEvents(t *testing.T, ts *httptest.Server, id string) []sseFrame {
+// the stream and returns every frame in order. A non-nil subscribed
+// runs once the response headers arrive: the server flushes them only
+// after it has registered the stream, so no later frame can be missed.
+func streamEvents(t *testing.T, ts *httptest.Server, id string, subscribed func()) []sseFrame {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -74,6 +76,9 @@ func streamEvents(t *testing.T, ts *httptest.Server, id string) []sseFrame {
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events content type %q", ct)
+	}
+	if subscribed != nil {
+		subscribed()
 	}
 	var frames []sseFrame
 	var cur sseFrame
@@ -116,7 +121,7 @@ func TestServerJobRoundTrip(t *testing.T) {
 	}
 
 	// The SSE stream must end with an authoritative terminal frame.
-	frames := streamEvents(t, ts, st.ID)
+	frames := streamEvents(t, ts, st.ID, nil)
 	if len(frames) == 0 {
 		t.Fatal("no SSE frames")
 	}
@@ -176,10 +181,17 @@ func TestServerErrors(t *testing.T) {
 		{"unknown field", `{"sped": {}}`, http.StatusBadRequest},
 		{"no spec", `{"slots": 100}`, http.StatusUnprocessableEntity},
 		{"invalid spec", `{"spec": {"piconets": [{"slaves": 9}]}, "slots": 100}`, http.StatusUnprocessableEntity},
+		{"replicas over limit", `{"spec": {"piconets": [{"slaves": 1}]}, "seeds": {"count": 1000000000}, "slots": 100}`, http.StatusUnprocessableEntity},
+		{"points × count overflows int", `{"points": [{"piconets": [{"slaves": 1}]}, {"piconets": [{"slaves": 1}]}], "seeds": {"count": 4611686018427387904}, "slots": 100}`, http.StatusUnprocessableEntity},
+		{"slots over limit", `{"spec": {"piconets": [{"slaves": 1}]}, "slots": 4294967297}`, http.StatusUnprocessableEntity},
+		{"settle_slots over limit", `{"spec": {"piconets": [{"slaves": 1}]}, "slots": 100, "settle_slots": 4294967297}`, http.StatusUnprocessableEntity},
 	} {
 		if code, _ := postJob(t, ts, tc.body); code != tc.want {
 			t.Errorf("%s: HTTP %d, want %d", tc.name, code, tc.want)
 		}
+	}
+	if st := e.Stats(); st.QueueDepth != 0 || len(st.Jobs) != 0 {
+		t.Fatalf("refused requests queued work: %+v", st)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/nope")
@@ -236,64 +248,110 @@ func TestServerCancel(t *testing.T) {
 // TestServerCampaignDeterminism is the service's determinism pin: a
 // campaign submitted over HTTP and run on a parallel worker pool
 // returns a result byte-identical to the same campaign run in-process
-// on the serial reference path. This is the contract that makes the
-// result cache — and cross-machine result comparison — sound.
+// on the serial reference path — straight and forked, with replica 0
+// publishing live snapshots. This is the contract that makes the
+// result cache — and cross-machine result comparison — sound. Slots is
+// a multiple of the snapshot period, so the last snapshot frame is
+// replica 0's whole window.
 func TestServerCampaignDeterminism(t *testing.T) {
-	e := New(Options{MaxJobs: 1, Workers: 4})
+	const period = 500
+	e := New(Options{MaxJobs: 1, Workers: 4, SnapshotSlots: period})
 	defer e.Close()
 	ts := httptest.NewServer(e.Handler())
 	defer ts.Close()
 
-	req := Request{
-		Points: []netspec.Spec{
-			tinySpec(),
-			{
-				Piconets:  netspec.HomogeneousPiconets(2, 1),
-				Traffic:   []netspec.Traffic{netspec.BulkTraffic(netspec.AllPiconets)},
-				Placement: netspec.GridPlacement(12, 10),
-			},
-		},
-		Seeds:       SeedRange{First: 3, Count: 4},
-		Slots:       3000,
-		SettleSlots: 64,
+	// A saturating bulk pump never leaves a quiescent slot edge to
+	// checkpoint on, so the forked campaign's points carry poisson
+	// traffic instead.
+	grid := func(traffic netspec.Traffic) netspec.Spec {
+		return netspec.Spec{
+			Piconets:  netspec.HomogeneousPiconets(2, 1),
+			Traffic:   []netspec.Traffic{traffic},
+			Placement: netspec.GridPlacement(12, 10),
+		}
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, st := postJob(t, ts, string(body))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	waitFor(t, "campaign completion", func() bool { return getStatus(t, ts, st.ID).State == StateDone })
+	for _, tc := range []struct {
+		name   string
+		fork   bool
+		points []netspec.Spec
+	}{
+		{"straight", false, []netspec.Spec{tinySpec(), grid(netspec.BulkTraffic(netspec.AllPiconets))}},
+		{"fork", true, []netspec.Spec{forkSpec(), grid(forkSpec().Traffic[0])}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := Request{
+				Points:      tc.points,
+				Seeds:       SeedRange{First: 3, Count: 4},
+				Slots:       3000,
+				SettleSlots: 64,
+				Fork:        tc.fork,
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Hold the only runner slot so the campaign stays queued
+			// until its event stream is open.
+			blocker, err := e.Submit(blockerReq())
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, blocker, StateRunning)
+			code, st := postJob(t, ts, string(body))
+			if code != http.StatusAccepted {
+				t.Fatalf("submit: HTTP %d", code)
+			}
+			frames := streamEvents(t, ts, st.ID, blocker.Cancel)
+			var snapshots [][]byte
+			for _, f := range frames {
+				if f.event == "snapshot" {
+					snapshots = append(snapshots, f.data)
+				}
+			}
+			if st := getStatus(t, ts, st.ID); st.State != StateDone {
+				t.Fatalf("campaign ended %s (%s), want done", st.State, st.Error)
+			}
 
-	// Read the result back as raw JSON so no float re-encoding can
-	// launder a difference.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var raw struct {
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	var served bytes.Buffer
-	if err := json.Compact(&served, raw.Result); err != nil {
-		t.Fatal(err)
-	}
+			// Read the result back as raw JSON so no float re-encoding
+			// can launder a difference.
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var raw struct {
+				Result json.RawMessage `json:"result"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+				t.Fatal(err)
+			}
+			var served bytes.Buffer
+			if err := json.Compact(&served, raw.Result); err != nil {
+				t.Fatal(err)
+			}
 
-	ref, err := Run(context.Background(), req, runner.Config{Workers: runner.Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(served.Bytes(), want) {
-		t.Fatalf("served campaign diverged from the in-process serial reference:\n  served: %s\n  serial: %s", served.Bytes(), want)
+			ref, err := Run(context.Background(), req, runner.Config{Workers: runner.Serial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(served.Bytes(), want) {
+				t.Fatalf("served campaign diverged from the in-process serial reference:\n  served: %s\n  serial: %s", served.Bytes(), want)
+			}
+
+			if len(snapshots) != int(req.Slots/period) {
+				t.Fatalf("%d snapshot frames, want one per period of replica 0 (%d)", len(snapshots), req.Slots/period)
+			}
+			rep0, err := json.Marshal(ref.Points[0].Replicas[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if last := snapshots[len(snapshots)-1]; !bytes.Equal(last, rep0) {
+				t.Fatalf("last snapshot frame is not replica 0's window:\n  snapshot:  %s\n  replica 0: %s", last, rep0)
+			}
+		})
 	}
 }

@@ -10,11 +10,13 @@
 // LRU cache keyed by the canonical request hash, so resubmitting a
 // campaign is a lookup, not a simulation.
 //
-// Live snapshots never touch the campaign replicas: a separate monitor
-// replica (same world, first seed) runs alongside the sweep and has its
-// metrics window read and reset per snapshot period. ResetMetrics on a
-// campaign replica would change its reported window and break the
-// determinism contract; the monitor's windows are observational only.
+// Live snapshots come from the campaign itself: while replica 0 of
+// point 0 runs its measured horizon, its running window — everything
+// since the window opened — is read every SnapshotSlots slots and
+// published to the job's stream. Reading a window never closes or
+// resets it, so the replica's result is the one an unobserved run
+// reports; when Slots is a multiple of SnapshotSlots, the last snapshot
+// equals Result.Points[0].Replicas[0].
 package simd
 
 import (
@@ -24,8 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/netspec"
 	"repro/internal/runner"
 )
 
@@ -48,9 +48,9 @@ type Options struct {
 	// Workers is each campaign's runner pool size (0 = GOMAXPROCS,
 	// runner.Serial = in-line).
 	Workers int
-	// SnapshotSlots is the monitor replica's window length: every
-	// SnapshotSlots simulated slots, a live Metrics window is published
-	// to the job's event stream. 0 disables the monitor entirely.
+	// SnapshotSlots is the live-snapshot period: every SnapshotSlots
+	// slots of replica 0's measured horizon, its running Metrics window
+	// is published to the job's event stream. 0 disables snapshots.
 	SnapshotSlots uint64
 }
 
@@ -72,16 +72,15 @@ type Engine struct {
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
-	order  []string // submission order, for stable listings
 	nextID int
-	cache  *lru[*Result]
-	hits   uint64
-	misses uint64
 	closed bool
 
-	// cks is the checkpoint store for forked campaigns; it carries its
-	// own lock because settles run on the job goroutines, not under mu.
-	cks *ckStore
+	// results caches completed campaigns by request key; cks caches the
+	// settled checkpoints of forked campaigns. Each carries its own
+	// lock, because settles and result stores run on the job
+	// goroutines, not under mu.
+	results *cache[*Result]
+	cks     *cache[[]byte]
 }
 
 // New starts an engine with MaxJobs runner goroutines.
@@ -105,8 +104,8 @@ func New(opt Options) *Engine {
 		baseCtx: ctx,
 		stop:    cancel,
 		jobs:    make(map[string]*Job),
-		cache:   newLRU[*Result](opt.CacheSize),
-		cks:     newCkStore(opt.CheckpointCacheSize),
+		results: newCache[*Result](opt.CacheSize),
+		cks:     newCache[[]byte](opt.CheckpointCacheSize),
 	}
 	e.wg.Add(opt.MaxJobs)
 	for i := 0; i < opt.MaxJobs; i++ {
@@ -139,7 +138,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		if e.idle() {
+		if s := e.Stats(); s.Jobs[StateQueued]+s.Jobs[StateRunning] == 0 {
 			return nil
 		}
 		select {
@@ -148,18 +147,6 @@ func (e *Engine) Drain(ctx context.Context) error {
 		case <-tick.C:
 		}
 	}
-}
-
-// idle reports whether every submitted job is terminal.
-func (e *Engine) idle() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, j := range e.jobs {
-		if !j.State().terminal() {
-			return false
-		}
-	}
-	return true
 }
 
 // Close cancels every queued and running job and waits for the runner
@@ -206,18 +193,15 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 		state: StateQueued, subs: make(map[chan Event]struct{}),
 		total: len(n.Points) * n.Seeds.Count,
 	}
-	if res, ok := e.cache.get(key); ok {
-		e.hits++
+	if res, ok := e.results.get(key); ok {
 		cancel()
 		job.cached = true
 		job.done = job.total
 		job.state = StateDone
 		job.result = res
 		e.jobs[job.ID] = job
-		e.order = append(e.order, job.ID)
 		return job, nil
 	}
-	e.misses++
 	select {
 	case e.queue <- job:
 	default:
@@ -225,7 +209,6 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 		return nil, ErrQueueFull
 	}
 	e.jobs[job.ID] = job
-	e.order = append(e.order, job.ID)
 	return job, nil
 }
 
@@ -237,7 +220,7 @@ func (e *Engine) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// CacheStats is the result cache's hit accounting.
+// CacheStats is one cache's hit accounting.
 type CacheStats struct {
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`
@@ -263,16 +246,13 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := Stats{
-		QueueDepth: len(e.queue),
-		Jobs:       make(map[State]int),
-		Cache: CacheStats{
-			Hits: e.hits, Misses: e.misses,
-			Entries: e.cache.len(), Capacity: e.opt.CacheSize,
-		},
-		Checkpoints: e.cks.stats(e.opt.CheckpointCacheSize),
+		QueueDepth:  len(e.queue),
+		Jobs:        make(map[State]int),
+		Cache:       e.results.stats(),
+		Checkpoints: e.cks.stats(),
 	}
-	for _, id := range e.order {
-		s.Jobs[e.jobs[id].State()]++
+	for _, j := range e.jobs {
+		s.Jobs[j.State()]++
 	}
 	return s
 }
@@ -298,9 +278,6 @@ func (e *Engine) runJob(job *Job) {
 		return // canceled while queued
 	}
 	ctx := job.ctx
-	if e.opt.SnapshotSlots > 0 {
-		go e.monitor(ctx, job)
-	}
 	res, err := func() (res *Result, err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -312,7 +289,7 @@ func (e *Engine) runJob(job *Job) {
 			Progress: func(_ string, done, total int) {
 				job.setProgress(done, total)
 			},
-		}, e.cks)
+		}, e.cks, snapshotter{period: e.opt.SnapshotSlots, publish: job.snapshot})
 	}()
 	switch {
 	case err != nil && ctx.Err() != nil:
@@ -320,38 +297,7 @@ func (e *Engine) runJob(job *Job) {
 	case err != nil:
 		job.finish(StateFailed, nil, err.Error())
 	default:
-		e.mu.Lock()
-		e.cache.put(job.Key, res)
-		e.mu.Unlock()
+		e.results.put(job.Key, res)
 		job.finish(StateDone, res, "")
-	}
-}
-
-// monitor runs the observational replica: the job's first point under
-// its first seed, with the metrics window read and reset once per
-// SnapshotSlots. Its windows feed the SSE stream only — the campaign
-// replicas never have their windows touched mid-run.
-func (e *Engine) monitor(ctx context.Context, job *Job) {
-	defer func() { recover() }() // monitor crashes must not take the job down
-	spec := job.Req.Points[0]
-	s := core.NewSimulation(core.Options{Seed: job.Req.Seeds.First})
-	w, err := netspec.Build(s, spec)
-	if err != nil {
-		return // the campaign will report the same failure
-	}
-	w.Start()
-	if runChunked(ctx, s, job.Req.SettleSlots) != nil {
-		return
-	}
-	w.ResetMetrics()
-	for done := uint64(0); done < job.Req.Slots; {
-		if ctx.Err() != nil {
-			return
-		}
-		n := min(e.opt.SnapshotSlots, job.Req.Slots-done)
-		s.RunSlots(n)
-		done += n
-		job.snapshot(w.Metrics())
-		w.ResetMetrics()
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -215,9 +217,9 @@ func TestEngineCancel(t *testing.T) {
 
 // TestCancelDuringLongSettle cancels jobs inside a 10^7-slot settle —
 // a straight replica, a forked campaign's checkpoint settle, and a
-// straight replica with the monitor replica running beside it — and
-// requires the job (and the monitor goroutine) to stop within a few
-// replica chunks of the cancel instead of after the whole settle.
+// straight replica that publishes live snapshots — and requires the
+// job to stop within a few replica chunks of the cancel instead of
+// after the whole settle, with no goroutine left once Close returns.
 func TestCancelDuringLongSettle(t *testing.T) {
 	// Time one chunk of the same world; the allowed latency is a
 	// handful of chunks plus scheduling slack, while finishing the
@@ -240,10 +242,9 @@ func TestCancelDuringLongSettle(t *testing.T) {
 	}{
 		{"straight", false, 0},
 		{"fork", true, 0},
-		{"monitor", false, 1000},
+		{"snapshots", false, 1000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
 			e := New(Options{MaxJobs: 1, Workers: runner.Serial, SnapshotSlots: tc.snapshot})
 			spec := tinySpec()
 			job, err := e.Submit(Request{
@@ -267,14 +268,33 @@ func TestCancelDuringLongSettle(t *testing.T) {
 				t.Fatalf("job state %s %v after Cancel, want canceled within %v", st, time.Since(t0), limit)
 			}
 			e.Close()
-			for runtime.NumGoroutine() > baseline && time.Since(t0) < limit {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > baseline {
-				t.Fatalf("%d goroutines still running %v after Cancel, want %d", n, time.Since(t0), baseline)
+			if left := engineGoroutines(); len(left) > 0 {
+				t.Fatalf("%d goroutines still in engine code after Close returned:\n%s", len(left), strings.Join(left, "\n\n"))
 			}
 		})
 	}
+}
+
+// engineGoroutines returns the stacks of goroutines, other than the
+// caller and the tests, that are inside this module's code. A runner slot that Close has
+// joined may still be between its deferred WaitGroup.Done and its
+// exit, with runLoop as its only module frame; it runs no simulation
+// and is not reported.
+func engineGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var left []string
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] { // [0] is the caller
+		for _, line := range strings.Split(g, "\n") {
+			if strings.HasPrefix(line, "repro/") &&
+				!strings.HasPrefix(line, "repro/internal/simd.Test") &&
+				!strings.HasPrefix(line, "repro/internal/simd.(*Engine).runLoop(") {
+				left = append(left, g)
+				break
+			}
+		}
+	}
+	return left
 }
 
 func TestEngineClose(t *testing.T) {
@@ -302,18 +322,46 @@ func TestEngineRejectsInvalidRequests(t *testing.T) {
 	e := New(Options{MaxJobs: 1, Workers: runner.Serial})
 	defer e.Close()
 
-	if _, err := e.Submit(Request{Slots: 100}); err == nil {
-		t.Fatal("request with no spec accepted")
-	}
 	spec := tinySpec()
-	if _, err := e.Submit(Request{Spec: &spec}); err == nil {
-		t.Fatal("request with zero slots accepted")
+	for _, tc := range []struct {
+		name string
+		req  Request
+		want string // a fragment the error must name; "" = any error
+	}{
+		{"no spec", Request{Slots: 100}, ""},
+		{"zero slots", Request{Spec: &spec}, ""},
+		{"replicas over limit", Request{Spec: &spec, Slots: 100, Seeds: SeedRange{Count: maxReplicas + 1}}, "limit of 65536 replicas"},
+		{"points × count overflows int", Request{
+			Points: []netspec.Spec{spec, spec, spec, spec},
+			Slots:  100,
+			Seeds:  SeedRange{Count: math.MaxInt/2 + 1},
+		}, "limit of 65536 replicas"},
+		{"slots over limit", Request{Spec: &spec, Slots: maxHorizonSlots + 1}, "slots 4294967297 exceeds the limit of 4294967296"},
+		{"settle_slots over limit", Request{Spec: &spec, Slots: 100, SettleSlots: maxHorizonSlots + 1}, "settle_slots 4294967297 exceeds the limit of 4294967296"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := e.Submit(tc.req)
+			if err == nil {
+				t.Fatal("request accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+		})
 	}
+	// The ceilings admit exactly the limits.
+	if _, err := (Request{Spec: &spec, Slots: maxHorizonSlots, SettleSlots: maxHorizonSlots, Seeds: SeedRange{Count: maxReplicas}}).normalized(); err != nil {
+		t.Fatalf("request at the limits refused: %v", err)
+	}
+
 	bad := netspec.Spec{Piconets: []netspec.Piconet{{Slaves: 9}}}
 	_, err := e.Submit(Request{Spec: &bad, Slots: 100})
 	var se *netspec.StanzaError
 	if !errors.As(err, &se) {
 		t.Fatalf("invalid spec error %v, want a wrapped *netspec.StanzaError", err)
+	}
+	if st := e.Stats(); st.QueueDepth != 0 || len(st.Jobs) != 0 {
+		t.Fatalf("refused requests queued work: %+v", st)
 	}
 }
 
@@ -367,8 +415,8 @@ func TestJobEvents(t *testing.T) {
 	if progress == 0 {
 		t.Fatal("no progress frames over a 4-replica campaign")
 	}
-	if snapshots == 0 {
-		t.Fatal("no snapshot frames despite SnapshotSlots > 0")
+	if snapshots != 8192/256 {
+		t.Fatalf("%d snapshot frames, want one per 256-slot period of replica 0 (32)", snapshots)
 	}
 
 	// Subscribing to a terminal job yields a closed channel plus the
